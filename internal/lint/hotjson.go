@@ -11,10 +11,11 @@ import (
 // commit) or every replicated frame. PR 10 moved these paths onto the
 // binary codec — reflection-based encoding/json marshaling must never
 // creep back in, or the 0-allocs/record budget and the ≥2× marshal
-// speedup silently rot. Cold paths (recovery's dual-format fallback,
-// snapshot files, the ship protocol envelope, CLI rendering) may use
-// encoding/json freely: the format boundary, not the import, is the
-// invariant.
+// speedup silently rot. Log shipping's per-frame path is pinned too: the
+// shipper sends the WAL's own binary frames in a binary envelope. Cold
+// paths (recovery's dual-format fallback, snapshot files, CLI rendering)
+// may use encoding/json freely: the format boundary, not the import, is
+// the invariant.
 var hotJSONFuncs = map[string]map[string]bool{
 	"bioopera/internal/core": {
 		"persist":       true, // per-activity checkpoint assembly
@@ -37,6 +38,12 @@ var hotJSONFuncs = map[string]map[string]bool{
 	"bioopera/internal/wal": {
 		"Append":      true,
 		"AppendBatch": true,
+		"serve":       true, // shipper session: tail read + frames send
+		"next":        true, // tail cursor read
+		"writeMsg":    true, // ship envelope encode
+		"readMsg":     true, // ship envelope decode
+		"Run":         true, // follower receive loop
+		"handle":      true, // follower frame verify + batch split
 	},
 }
 

@@ -34,12 +34,21 @@ func (d *Disk) marshalSnapshot() (uint64, []byte, error) {
 // free port). Followers that lag behind the oldest retained segment are
 // bootstrapped with a full snapshot; connected followers pin the WAL
 // retention floor so Snapshot cannot truncate records they still need.
+// With DiskOptions.Metrics set, the slowest follower's lag is exported at
+// scrape time as bioopera_wal_ship_lag_records.
 func (d *Disk) StartShipping(addr string, logf func(string, ...any)) (*wal.Shipper, error) {
-	return wal.NewShipper(addr, wal.ShipperOptions{
+	s, err := wal.NewShipper(addr, wal.ShipperOptions{
 		Log:      d.log,
 		Snapshot: d.marshalSnapshot,
 		Logf:     logf,
 	})
+	if err != nil {
+		return nil, err
+	}
+	d.metrics.GaugeFunc("bioopera_wal_ship_lag_records",
+		"Committed WAL records the slowest standby has yet to be sent.",
+		func() float64 { return float64(s.Lag()) })
+	return s, nil
 }
 
 // applyShipped ingests one batch-aligned group of records from the

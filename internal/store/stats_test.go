@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bioopera/internal/obs"
 )
@@ -113,5 +114,58 @@ func TestDiskStatsGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestShipLagGauge checks that StartShipping on a metrics-enabled store
+// exports the standby lag gauge, and that it reads 0 once the standby has
+// caught up.
+func TestShipLagGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, err := OpenDisk(t.TempDir(), DiskOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	shipper, err := p.StartShipping("127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shipper.Close()
+	sb, err := OpenStandby(t.TempDir(), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	followDone := make(chan error, 1)
+	go func() { followDone <- sb.Follow(shipper.Addr(), t.Logf) }()
+	defer func() {
+		sb.Close()
+		<-followDone
+	}()
+	for i := 0; i < 5; i++ {
+		if err := p.Put(Instance, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := p.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDigest(t, sb.Store(), want)
+	// The shipper records its cursor just after the send the standby
+	// applied, so the gauge may trail the digest briefly.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var out strings.Builder
+		if err := reg.WriteProm(&out); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out.String(), "bioopera_wal_ship_lag_records 0") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("exposition missing the caught-up lag gauge:\n%s", out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

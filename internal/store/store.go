@@ -417,6 +417,7 @@ type Disk struct {
 
 	groupSize   *obs.Histogram // records per flushed group (nil = no metrics)
 	snapSeconds *obs.Histogram // Snapshot wall time (nil = no metrics)
+	metrics     *obs.Registry  // DiskOptions.Metrics, for StartShipping's gauge
 }
 
 // commitReq is one caller's mutation set awaiting group commit. seq, when
@@ -465,7 +466,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{dir: dir, log: l, st: newState()}
+	d := &Disk{dir: dir, log: l, st: newState(), metrics: opts.Metrics}
 	from, err := d.loadSnapshot()
 	if err != nil {
 		//bioopera:allow droppederr the snapshot load error is returned; closing the half-opened log is best-effort

@@ -3,52 +3,90 @@
 // wire layer of the hot-standby story — the paper leaned on a replicated
 // DBMS for durable process state; we ship our own WAL instead.
 //
-// The protocol is newline-delimited JSON, the same framing the remote
-// worker protocol uses (the wal package cannot import internal/remote —
-// remote sits above the store — so the idiom is mirrored, not shared):
+// Each message is an envelope built with internal/codec — the codec record
+// header (magic, version, kind), a uvarint seq and a uvarint payload length
+// — followed by the payload:
 //
-//	follower → shipper   {"type":"sync","from":N}
-//	shipper  → follower  {"type":"snapshot","seq":S,"data":...}   bootstrap
-//	shipper  → follower  {"type":"frames","seq":N,"records":[...]} per batch
+//	sync      follower → shipper  seq = first sequence wanted, payload = uvarint protocol version
+//	snapshot  shipper → follower  seq = first sequence NOT covered, payload = opaque image
+//	frames    shipper → follower  seq = first record's sequence, payload = whole batches' frames
+//	error     shipper → follower  payload = why the shipper refused
 //
-// Frames are shipped post-fsync and batch-aligned: the shipper only reads
-// records below the committed frontier (CommittedSeq), and each frames
-// message carries exactly one atomic batch as AppendBatch wrote it, so the
-// follower re-appends the primary's commit units verbatim and a crash on
-// either side rolls back to the same batch boundary. A follower whose
-// cursor has fallen behind the oldest retained segment is bootstrapped
-// with a full snapshot; otherwise the shipper pins the retention floor
-// (SetRetainFloor) at its slowest follower's cursor so snapshots on the
-// primary cannot truncate records a standby still needs.
+// A frames payload is the log's own on-disk bytes (len|crc|data), read by
+// the session's tail cursor from where the last round stopped up to the
+// committed frontier, so each committed byte is read and sent once. The
+// follower re-verifies every checksum and splits the payload into batches
+// on the continuation flag, so it re-appends the primary's commit units
+// verbatim and a crash on either side rolls back to the same batch
+// boundary. A follower whose cursor has fallen behind the oldest retained
+// segment is bootstrapped with a snapshot; otherwise the shipper pins the
+// retention floor (SetRetainFloor) at its slowest follower's cursor so
+// snapshots cannot truncate records a standby still needs.
 package wal
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"bioopera/internal/codec"
 )
 
-// shipWriteBuf sizes the per-session buffered writers on both sides:
-// large enough that a replay round's frames coalesce into few writes.
-const shipWriteBuf = 64 << 10
+// shipVersion is the protocol version the sync hello carries; a shipper
+// refuses any other rather than misparse the stream. Message kinds share the
+// codec kind namespace with core's persist records (1–4) and the store's
+// WAL records (16–18).
+const (
+	shipVersion       = 1
+	kindSync     byte = 32
+	kindFrames   byte = 33
+	kindSnapshot byte = 34
+	kindError    byte = 35
+)
 
-// shipMsg is every message of the shipping protocol; Type discriminates.
-type shipMsg struct {
-	Type string `json:"type"`
-	// From is the first sequence the follower wants (sync).
-	From uint64 `json:"from,omitempty"`
-	// Seq is the first sequence of Records (frames) or the first sequence
-	// NOT covered by Data (snapshot).
-	Seq uint64 `json:"seq,omitempty"`
-	// Records is one atomic batch, in append order (frames).
-	Records [][]byte `json:"records,omitempty"`
-	// Data is an opaque snapshot image (snapshot).
-	Data []byte `json:"data,omitempty"`
-	// Err explains a terminal refusal (error).
-	Err string `json:"err,omitempty"`
+// writeMsg writes one message: the envelope from e, then the payload, in
+// one vectored write.
+func writeMsg(w io.Writer, e *codec.Encoder, kind byte, seq uint64, payload []byte) error {
+	e.Reset()
+	e.Begin(kind)
+	e.Uvarint(seq)
+	e.Uvarint(uint64(len(payload)))
+	bufs := net.Buffers{e.Buf, payload}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readMsg reads one message. The payload is freshly allocated and never
+// reused: records decoded from it may alias it.
+func readMsg(r *bufio.Reader) (kind byte, seq uint64, payload []byte, err error) {
+	var hdr [3]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	if _, kind, err = codec.NewDecoder(hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	var n uint64
+	if seq, err = binary.ReadUvarint(r); err == nil {
+		n, err = binary.ReadUvarint(r)
+	}
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if n <= 1<<20 {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(r, payload)
+		return kind, seq, payload, err
+	}
+	// Read a large length as the bytes arrive: a corrupt one must not allocate.
+	payload, err = io.ReadAll(io.LimitReader(r, int64(min(n, 1<<62))))
+	if err == nil && uint64(len(payload)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	return kind, seq, payload, err
 }
 
 // ShipperOptions configure a Shipper.
@@ -60,9 +98,6 @@ type ShipperOptions struct {
 	// plus the first WAL sequence NOT covered by them. Nil means lagging
 	// followers are refused instead of bootstrapped.
 	Snapshot func() (seq uint64, data []byte, err error)
-	// OnFollower, when non-nil, observes follower arrivals (up=true) and
-	// departures. Called from connection goroutines.
-	OnFollower func(remote string, up bool)
 	// Logf receives protocol diagnostics. May be nil.
 	Logf func(format string, args ...any)
 }
@@ -71,12 +106,12 @@ type ShipperOptions struct {
 // concurrent use alongside appends and truncation on the same Log.
 type Shipper struct {
 	ln   net.Listener
-	log  *Log
 	opts ShipperOptions
 	stop chan struct{}
 
 	mu      sync.Mutex
 	cursors map[net.Conn]uint64 // next sequence each follower needs
+	floor   uint64              // the slowest follower's cursor (0: none)
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -86,13 +121,15 @@ func NewShipper(addr string, opts ShipperOptions) (*Shipper, error) {
 	if opts.Log == nil {
 		return nil, fmt.Errorf("wal: ShipperOptions needs a Log")
 	}
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wal: ship listen: %w", err)
 	}
 	s := &Shipper{
 		ln:      ln,
-		log:     opts.Log,
 		opts:    opts,
 		stop:    make(chan struct{}),
 		cursors: make(map[net.Conn]uint64),
@@ -112,10 +149,16 @@ func (s *Shipper) Followers() int {
 	return len(s.cursors)
 }
 
-func (s *Shipper) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
+// Lag reports how far behind the slowest connected follower is: the
+// committed records it has yet to be sent (0 with no followers).
+func (s *Shipper) Lag() uint64 {
+	next := s.opts.Log.NextSeq()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.floor == 0 || s.floor > next {
+		return 0
 	}
+	return next - s.floor
 }
 
 func (s *Shipper) accept() {
@@ -138,125 +181,91 @@ func (s *Shipper) accept() {
 	}
 }
 
-// setCursor records a follower's progress and re-pins the retention floor
-// at the minimum across followers, so TruncateBefore keeps what the
-// slowest standby still needs.
+// setCursor records a follower's progress (0: it left) and re-pins the
+// retention floor at the minimum across followers, so TruncateBefore keeps
+// what the slowest standby still needs.
 func (s *Shipper) setCursor(conn net.Conn, cursor uint64) {
 	s.mu.Lock()
-	s.cursors[conn] = cursor
-	s.refloorLocked()
-	s.mu.Unlock()
-}
-
-func (s *Shipper) dropCursor(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.cursors, conn)
-	s.refloorLocked()
-	s.mu.Unlock()
-}
-
-func (s *Shipper) refloorLocked() {
-	var floor uint64
+	defer s.mu.Unlock()
+	if cursor == 0 {
+		delete(s.cursors, conn)
+	} else {
+		s.cursors[conn] = cursor
+	}
+	s.floor = 0
 	for _, c := range s.cursors {
-		if floor == 0 || c < floor {
-			floor = c
+		if s.floor == 0 || c < s.floor {
+			s.floor = c
 		}
 	}
-	s.log.SetRetainFloor(floor) // 0 with no followers: unconstrained
+	s.opts.Log.SetRetainFloor(s.floor) // 0 with no followers: unconstrained
 }
 
 // serve streams the log to one follower until it disconnects or the
 // shipper closes.
 func (s *Shipper) serve(conn net.Conn) {
 	defer s.wg.Done()
+	t := &tail{l: s.opts.Log}
 	defer func() {
 		//bioopera:allow droppederr the connection is being abandoned either way; its close error is diagnostic at best
 		conn.Close()
-		s.dropCursor(conn)
-		if s.opts.OnFollower != nil {
-			s.opts.OnFollower(conn.RemoteAddr().String(), false)
-		}
+		t.close()
+		s.setCursor(conn, 0)
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	// One buffered writer and one encoder for the whole session: frames of
-	// a replay round coalesce into few syscalls instead of one unbuffered
-	// write per message, and nothing is re-allocated per send.
-	bw := bufio.NewWriterSize(conn, shipWriteBuf)
-	enc := json.NewEncoder(bw)
-	// send encodes one message and flushes — used for the one-off messages
-	// (snapshot, error) that must reach the follower before we block or
-	// return. Frames flush once per replay round instead.
-	send := func(m shipMsg) error {
-		if err := enc.Encode(m); err != nil {
-			return err
-		}
-		return bw.Flush()
+	var enc codec.Encoder // the session's envelope encoder
+	refuse := func(reason string) {
+		//bioopera:allow droppederr best-effort notice before hanging up; the follower sees the drop either way
+		writeMsg(conn, &enc, kindError, 0, []byte(reason))
 	}
-	var hello shipMsg
-	if err := dec.Decode(&hello); err != nil || hello.Type != "sync" {
-		s.logf("wal: ship %s: bad handshake: %v", conn.RemoteAddr(), err)
+	kind, from, hello, err := readMsg(bufio.NewReader(conn))
+	if v, _ := binary.Uvarint(hello); err != nil || kind != kindSync || v != shipVersion {
+		reason := fmt.Sprintf("bad sync hello: kind %d, protocol version %d (want %d): %v", kind, v, shipVersion, err)
+		s.opts.Logf("wal: ship %s: %s", conn.RemoteAddr(), reason)
+		refuse(reason)
 		return
 	}
-	cursor := hello.From
-	if cursor == 0 {
-		cursor = 1
-	}
+	t.seq = max(from, 1)
 	// Register before the first read so the retention floor protects the
 	// cursor from a concurrent truncation.
-	s.setCursor(conn, cursor)
-	if s.opts.OnFollower != nil {
-		s.opts.OnFollower(conn.RemoteAddr().String(), true)
-	}
-	s.logf("wal: ship %s: follower syncing from %d", conn.RemoteAddr(), cursor)
+	s.setCursor(conn, t.seq)
+	s.opts.Logf("wal: ship %s: follower syncing from %d", conn.RemoteAddr(), t.seq)
 	for {
-		committed, ok := s.log.WaitCommitted(cursor-1, s.stop)
-		if !ok {
+		if !s.opts.Log.WaitCommitted(t.seq-1, s.stop) {
 			return
 		}
-		if oldest := s.log.OldestSeq(); cursor < oldest {
+		if oldest := s.opts.Log.OldestSeq(); t.seq < oldest {
 			// The records the follower needs are gone — bootstrap it.
 			if s.opts.Snapshot == nil {
-				_ = send(shipMsg{Type: "error", Err: fmt.Sprintf("records from %d truncated (oldest %d) and no snapshot source", cursor, oldest)})
+				refuse(fmt.Sprintf("records from %d truncated (oldest %d) and no snapshot source", t.seq, oldest))
 				return
 			}
 			seq, data, err := s.opts.Snapshot()
 			if err != nil {
-				s.logf("wal: ship %s: snapshot: %v", conn.RemoteAddr(), err)
-				_ = send(shipMsg{Type: "error", Err: err.Error()})
+				s.opts.Logf("wal: ship %s: snapshot: %v", conn.RemoteAddr(), err)
+				refuse(err.Error())
 				return
 			}
-			if err := send(shipMsg{Type: "snapshot", Seq: seq, Data: data}); err != nil {
+			if err := writeMsg(conn, &enc, kindSnapshot, seq, data); err != nil {
 				return
 			}
-			cursor = seq
-			s.setCursor(conn, cursor)
-			s.logf("wal: ship %s: bootstrapped to %d (%d snapshot bytes)", conn.RemoteAddr(), seq, len(data))
+			t.close() // reposition at the snapshot's sequence
+			t.seq = seq
+			s.setCursor(conn, t.seq)
+			s.opts.Logf("wal: ship %s: bootstrapped to %d (%d snapshot bytes)", conn.RemoteAddr(), seq, len(data))
 			continue
 		}
-		if committed < cursor {
-			continue // woke for a frontier we already shipped
-		}
-		err := s.log.ReplayBatches(cursor, func(first uint64, records [][]byte) error {
-			if first+uint64(len(records)) > committed+1 {
-				return io.EOF // past the frontier captured above; ship next round
-			}
-			if err := enc.Encode(shipMsg{Type: "frames", Seq: first, Records: records}); err != nil {
-				return err
-			}
-			cursor = first + uint64(len(records))
-			s.setCursor(conn, cursor)
-			return nil
-		})
-		if err != nil && err != io.EOF {
-			s.logf("wal: ship %s: %v", conn.RemoteAddr(), err)
+		frames, first, n, err := t.next(nil)
+		if err != nil {
+			s.opts.Logf("wal: ship %s: %v", conn.RemoteAddr(), err)
 			return
 		}
-		// Flush the round's frames before blocking on the next commit —
-		// the follower must not starve behind a half-full buffer.
-		if err := bw.Flush(); err != nil {
-			s.logf("wal: ship %s: %v", conn.RemoteAddr(), err)
+		if n == 0 {
+			continue
+		}
+		if err := writeMsg(conn, &enc, kindFrames, first, frames); err != nil {
 			return
 		}
+		s.setCursor(conn, t.seq)
 	}
 }
 
@@ -281,7 +290,7 @@ func (s *Shipper) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	s.log.SetRetainFloor(0)
+	s.opts.Log.SetRetainFloor(0)
 	if err != nil {
 		return fmt.Errorf("wal: ship close: %w", err)
 	}
@@ -294,7 +303,8 @@ type FollowerOptions struct {
 	// NextSeq). Zero means from the beginning.
 	From uint64
 	// ApplyBatch ingests one shipped batch: first is the sequence of
-	// records[0]. Required. An error stops Run.
+	// records[0]. Required. An error stops Run. The records alias a
+	// buffer the follower never reuses, so they may be kept.
 	ApplyBatch func(first uint64, records [][]byte) error
 	// ApplySnapshot installs a bootstrap image covering sequences < seq.
 	// Required if the primary may have truncated past From.
@@ -304,26 +314,13 @@ type FollowerOptions struct {
 }
 
 // Follower is the standby side of log shipping: it dials a Shipper and
-// applies what arrives. Its write side (the sync handshake, and any future
-// follower→shipper message) goes through one session-lifetime buffered
-// writer and encoder instead of allocating a fresh encoder per message and
-// writing to the raw connection.
+// applies what arrives.
 type Follower struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	enc  *json.Encoder
 	opts FollowerOptions
 
 	mu     sync.Mutex
 	closed bool
-}
-
-// send encodes one message to the shipper and flushes it out.
-func (f *Follower) send(m shipMsg) error {
-	if err := f.enc.Encode(m); err != nil {
-		return err
-	}
-	return f.bw.Flush()
 }
 
 // DialFollower connects to a Shipper at addr and requests the stream. Call
@@ -336,25 +333,22 @@ func DialFollower(addr string, opts FollowerOptions) (*Follower, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: follow dial: %w", err)
 	}
-	f := &Follower{conn: conn, opts: opts}
-	f.bw = bufio.NewWriterSize(conn, shipWriteBuf)
-	f.enc = json.NewEncoder(f.bw)
-	if err := f.send(shipMsg{Type: "sync", From: opts.From}); err != nil {
+	if err := writeMsg(conn, new(codec.Encoder), kindSync, opts.From, binary.AppendUvarint(nil, shipVersion)); err != nil {
 		//bioopera:allow droppederr the handshake failure is returned; closing the dead connection is best-effort
 		conn.Close()
 		return nil, fmt.Errorf("wal: follow sync: %w", err)
 	}
-	return f, nil
+	return &Follower{conn: conn, opts: opts}, nil
 }
 
 // Run applies the stream until the connection drops (nil after a local
 // Close, the transport error after a primary failure — the standby's cue
 // to promote) or an apply callback fails.
 func (f *Follower) Run() error {
-	dec := json.NewDecoder(bufio.NewReader(f.conn))
+	r := bufio.NewReaderSize(f.conn, 64<<10)
 	for {
-		var msg shipMsg
-		if err := dec.Decode(&msg); err != nil {
+		kind, seq, payload, err := readMsg(r)
+		if err != nil {
 			f.mu.Lock()
 			closed := f.closed
 			f.mu.Unlock()
@@ -366,24 +360,47 @@ func (f *Follower) Run() error {
 			}
 			return fmt.Errorf("wal: follow: %w", err)
 		}
-		switch msg.Type {
-		case "frames":
-			if err := f.opts.ApplyBatch(msg.Seq, msg.Records); err != nil {
-				return fmt.Errorf("wal: follow apply %d: %w", msg.Seq, err)
-			}
-		case "snapshot":
-			if f.opts.ApplySnapshot == nil {
-				return fmt.Errorf("wal: follow: unexpected snapshot (no ApplySnapshot)")
-			}
-			if err := f.opts.ApplySnapshot(msg.Seq, msg.Data); err != nil {
-				return fmt.Errorf("wal: follow install snapshot %d: %w", msg.Seq, err)
-			}
-		case "error":
-			return fmt.Errorf("wal: follow: primary refused: %s", msg.Err)
-		default:
-			return fmt.Errorf("wal: follow: unknown message type %q", msg.Type)
+		if err := f.handle(kind, seq, payload); err != nil {
+			return err
 		}
 	}
+}
+
+// handle applies one message from the shipper. A frames payload is
+// verified whole before any of its batches is applied, so a corrupt frame
+// applies nothing.
+func (f *Follower) handle(kind byte, seq uint64, payload []byte) error {
+	switch kind {
+	case kindFrames:
+		recs, ends := [][]byte(nil), []int{0} // batch i is recs[ends[i]:ends[i+1]]
+		walked, err := walkFrames(payload, func(data []byte, more bool) error {
+			if recs = append(recs, data); !more {
+				ends = append(ends, len(recs))
+			}
+			return nil
+		})
+		if err != nil || walked != len(payload) || ends[len(ends)-1] != len(recs) {
+			return fmt.Errorf("wal: follow: %w: shipped frames at %d are not whole batches", ErrCorrupt, seq)
+		}
+		for i := 1; i < len(ends); i++ {
+			lo := ends[i-1]
+			if err := f.opts.ApplyBatch(seq+uint64(lo), recs[lo:ends[i]]); err != nil {
+				return fmt.Errorf("wal: follow apply %d: %w", seq+uint64(lo), err)
+			}
+		}
+		return nil
+	case kindSnapshot:
+		if f.opts.ApplySnapshot == nil {
+			return fmt.Errorf("wal: follow: unexpected snapshot (no ApplySnapshot)")
+		}
+		if err := f.opts.ApplySnapshot(seq, payload); err != nil {
+			return fmt.Errorf("wal: follow install snapshot %d: %w", seq, err)
+		}
+		return nil
+	case kindError:
+		return fmt.Errorf("wal: follow: primary refused: %s", payload)
+	}
+	return fmt.Errorf("wal: follow: unknown message kind %d", kind)
 }
 
 // Close drops the connection; a concurrent Run returns nil.

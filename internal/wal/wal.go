@@ -29,13 +29,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,6 +109,10 @@ type Log struct {
 	segs    []uint64
 	syncs   uint64 // fsyncs issued by appends (group-commit metric)
 	closed  bool
+	// err is sticky: after a failed write or fsync the segment may hold
+	// torn or unacknowledged bytes past size, which reopening repairs; a
+	// batch appended behind them would be lost or shifted on reopen.
+	err error
 
 	// commitC is closed and replaced whenever a batch commits, waking
 	// WaitCommitted callers (the shipping path's notification channel).
@@ -199,60 +204,49 @@ func (l *Log) scan() error {
 // segments a bad checksum or unterminated batch is ErrCorrupt; for the
 // tail it just ends the scan (torn write).
 func countRecords(path string, tail bool) (n int, validBytes int64, err error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	var hdr [headerLen]byte
-	var off int64 // end of the last committed record
-	var cur int64 // current scan position
-	seen := 0     // records scanned, including an open batch prefix
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				if seen != n {
-					if tail {
-						return n, off, nil
-					}
-					return 0, 0, fmt.Errorf("%w: unterminated batch in %s", ErrCorrupt, path)
-				}
-				return n, off, nil
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				if tail {
-					return n, off, nil
-				}
-				return 0, 0, fmt.Errorf("%w: truncated header in %s", ErrCorrupt, path)
-			}
-			return 0, 0, fmt.Errorf("wal: %w", err)
-		}
-		raw := binary.LittleEndian.Uint32(hdr[0:4])
-		length := raw &^ batchFlag
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		data := make([]byte, length)
-		if _, err := io.ReadFull(f, data); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				if tail {
-					return n, off, nil
-				}
-				return 0, 0, fmt.Errorf("%w: truncated data in %s", ErrCorrupt, path)
-			}
-			return 0, 0, fmt.Errorf("wal: %w", err)
-		}
-		if crc32.ChecksumIEEE(data) != sum {
-			if tail {
-				return n, off, nil
-			}
-			return 0, 0, fmt.Errorf("%w: bad checksum in %s", ErrCorrupt, path)
-		}
-		cur += headerLen + int64(length)
+	seen := 0 // records walked, including an open batch prefix
+	var cur int64
+	walked, err := walkFrames(b, func(data []byte, more bool) error {
 		seen++
-		if raw&batchFlag == 0 {
-			n = seen
-			off = cur
+		cur += headerLen + int64(len(data))
+		if !more {
+			n, validBytes = seen, cur
 		}
+		return nil
+	})
+	if !tail && (err != nil || walked != len(b) || seen != n) {
+		return 0, 0, fmt.Errorf("%w: torn frame or unterminated batch in %s", ErrCorrupt, path)
 	}
+	return n, validBytes, nil
+}
+
+// walkFrames is the one frame parser, for scan, the tail cursor and the
+// shipping follower. It calls fn for each whole frame at the start of b
+// with its data (aliasing b) and batch-continuation flag, and returns the
+// bytes walked: an incomplete final frame is left unwalked. A checksum
+// mismatch stops it with ErrCorrupt, an error from fn before that frame.
+func walkFrames(b []byte, fn func(data []byte, more bool) error) (int, error) {
+	off := 0
+	for len(b)-off >= headerLen {
+		raw := binary.LittleEndian.Uint32(b[off:])
+		end := off + headerLen + int(raw&^batchFlag)
+		if end > len(b) {
+			break
+		}
+		data := b[off+headerLen : end : end]
+		if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(b[off+4:]) {
+			return off, ErrCorrupt
+		}
+		if err := fn(data, raw&batchFlag != 0); err != nil {
+			return off, err
+		}
+		off = end
+	}
+	return off, nil
 }
 
 // NextSeq returns the sequence number the next Append will receive.
@@ -264,11 +258,7 @@ func (l *Log) NextSeq() uint64 {
 
 // Append writes data as the next record and returns its sequence number.
 func (l *Log) Append(data []byte) (uint64, error) {
-	seq, err := l.AppendBatch([][]byte{data})
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
+	return l.AppendBatch([][]byte{data})
 }
 
 // AppendBatch writes all records as one atomic batch with a single fsync
@@ -286,6 +276,9 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
+	}
 	if l.file == nil || l.size >= l.opts.SegmentSize {
 		// Rotation happens only between batches, never inside one, so
 		// a batch's frames are always contiguous in one segment (an
@@ -321,23 +314,22 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 	if cap(buf) <= framePoolMax {
 		framePool.Put(bufp)
 	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	if !l.opts.NoSync {
+	if err == nil && !l.opts.NoSync {
 		var syncStart time.Time
 		if l.opts.SyncLatency != nil {
 			//bioopera:allow walltime latency histogram observes real fsync time; it never feeds back into replayable state
 			syncStart = time.Now()
 		}
-		if err := l.file.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
+		err = l.file.Sync()
 		if l.opts.SyncLatency != nil {
 			//bioopera:allow walltime latency histogram observes real fsync time; it never feeds back into replayable state
 			l.opts.SyncLatency.Observe(time.Since(syncStart).Seconds())
 		}
 		l.syncs++
+	}
+	if err != nil {
+		l.err = fmt.Errorf("wal: append failed, reopen to repair: %w", err)
+		return 0, l.err
 	}
 	l.size += int64(total)
 	seq := l.nextSeq
@@ -378,68 +370,113 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Replay calls fn for every record with sequence ≥ from, in order.
+// Replay calls fn for every committed record with sequence ≥ from, in
+// order. Each Record's Data is the caller's own copy.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
-	return l.replayFlagged(from, func(r Record, _ bool) error { return fn(r) })
-}
-
-// replayFlagged is Replay with the batch-continuation flag exposed: more is
-// true while the record's batch continues in the next frame.
-func (l *Log) replayFlagged(from uint64, fn func(r Record, more bool) error) error {
-	l.mu.Lock()
-	segs := append([]uint64(nil), l.segs...)
-	end := l.nextSeq
-	l.mu.Unlock()
-	for i, first := range segs {
-		// Skip whole segments that end before `from`.
-		segEnd := end
-		if i+1 < len(segs) {
-			segEnd = segs[i+1]
-		}
-		if segEnd <= from {
-			continue
-		}
-		path := filepath.Join(l.dir, segName(first))
-		if err := replaySegment(path, first, from, end, fn); err != nil {
+	t := &tail{l: l, seq: max(from, l.OldestSeq())}
+	defer t.close()
+	for {
+		if _, _, n, err := t.next(func(r Record) error {
+			r.Data = bytes.Clone(r.Data)
+			return fn(r)
+		}); err != nil || n == 0 {
 			return err
 		}
 	}
-	return nil
 }
 
-func replaySegment(path string, first, from, end uint64, fn func(r Record, more bool) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+// tail is a read position in the log — the open segment, the byte offset
+// of its next unread frame and that frame's sequence — through which Replay
+// and every shipping session read each committed byte once.
+type tail struct {
+	l     *Log
+	seq   uint64   // sequence of the next record to return
+	f     *os.File // nil until next opens the segment holding seq
+	first uint64   // first sequence of f's segment
+	off   int64    // byte offset in f of the next unread frame
+	skip  uint64   // frames at off that precede seq, after (re)positioning
+	buf   []byte   // reused by every read
+}
+
+// next reads the records committed past the cursor in its segment with one
+// ReadAt — a sealed segment to its end, the active one only to the
+// committed frontier — and returns their frames (the on-disk bytes of whole
+// batches, valid until the next call), the first record's sequence and the
+// record count, 0 when nothing new is committed. fn, when non-nil, sees
+// each record, its Data aliasing the frames.
+func (t *tail) next(fn func(Record) error) (frames []byte, first uint64, n int, err error) {
+	seg, active, end, next := t.l.frontier(t.seq)
+	if t.seq >= next || seg == 0 {
+		return nil, t.seq, 0, nil // nothing committed past seq, or seq is truncated
 	}
-	defer f.Close()
-	var hdr [headerLen]byte
-	seq := first
-	for seq < end {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil
-			}
-			return fmt.Errorf("wal: %w", err)
-		}
-		raw := binary.LittleEndian.Uint32(hdr[0:4])
-		length := raw &^ batchFlag
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		data := make([]byte, length)
-		if _, err := io.ReadFull(f, data); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if crc32.ChecksumIEEE(data) != sum {
-			return fmt.Errorf("%w: seq %d in %s", ErrCorrupt, seq, path)
-		}
-		if seq >= from {
-			if err := fn(Record{Seq: seq, Data: data}, raw&batchFlag != 0); err != nil {
-				return err
-			}
-		}
-		seq++
+	if t.f != nil && seg != t.first {
+		t.close() // read through: go on to the segment holding seq
 	}
-	return nil
+	if t.f == nil {
+		if t.f, err = os.Open(filepath.Join(t.l.dir, segName(seg))); err != nil {
+			return nil, 0, 0, fmt.Errorf("wal: %w", err)
+		}
+		t.first, t.off, t.skip = seg, 0, t.seq-seg
+	}
+	if t.first != active {
+		// A sealed segment: appends moved past it, so read to its end.
+		st, err := t.f.Stat()
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("wal: %w", err)
+		}
+		end = st.Size()
+	}
+	size := int(max(end-t.off, 0))
+	b := slices.Grow(t.buf[:0], size)[:size]
+	t.buf = b
+	if _, err := t.f.ReadAt(b, t.off); err != nil {
+		return nil, 0, 0, fmt.Errorf("wal: %w", err)
+	}
+	start, more := 0, false // start: offset in b of the record at seq
+	walked, err := walkFrames(b, func(data []byte, m bool) error {
+		if t.skip > 0 {
+			t.skip--
+			start += headerLen + len(data)
+			return nil
+		}
+		n, more = n+1, m
+		if fn != nil {
+			return fn(Record{Seq: t.seq + uint64(n-1), Data: data})
+		}
+		return nil
+	})
+	if err != nil && err != ErrCorrupt {
+		return nil, 0, 0, err // fn's
+	}
+	// seq < next, so there is a record to return; the active segment's
+	// bytes below the frontier hold exactly the records below next.
+	if err != nil || walked != len(b) || more || n == 0 || (t.first == active && t.seq+uint64(n) != next) {
+		return nil, 0, 0, fmt.Errorf("%w: frames from seq %d in segment %d are not the committed batches", ErrCorrupt, t.seq, t.first)
+	}
+	first = t.seq
+	t.off, t.seq = end, t.seq+uint64(n)
+	return b[start:], first, n, nil
+}
+
+func (t *tail) close() {
+	if t.f != nil {
+		//bioopera:allow droppederr the segment was only read
+		t.f.Close()
+		t.f = nil
+	}
+}
+
+// frontier returns, read at one instant, the first sequence of the segment
+// holding seq (0 when seq is below every segment), the first sequence of the
+// active segment, that segment's committed byte size and the next sequence:
+// the active segment's bytes below size hold exactly the records below next.
+func (l *Log) frontier(seq uint64) (seg, active uint64, size int64, next uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i] > seq }); i > 0 {
+		seg, active = l.segs[i-1], l.segs[len(l.segs)-1]
+	}
+	return seg, active, l.size, l.nextSeq
 }
 
 // notifyLocked wakes every WaitCommitted caller. Called with l.mu held
@@ -449,36 +486,25 @@ func (l *Log) notifyLocked() {
 	l.commitC = make(chan struct{})
 }
 
-// CommittedSeq returns the sequence of the newest durable record (0 when
-// the log is empty). Every record below it has been written and — unless
-// NoSync — fsynced: AppendBatch only advances the frontier after the batch
-// is on disk, so shipping from here never leaks an uncommitted frame.
-func (l *Log) CommittedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
-
 // WaitCommitted blocks until the committed frontier exceeds after, the log
-// closes, or stop is closed. It returns the current frontier and whether
-// the caller should keep going (false on close or stop).
-func (l *Log) WaitCommitted(after uint64, stop <-chan struct{}) (uint64, bool) {
+// closes, or stop is closed, and reports whether the caller should keep
+// going (false on close or stop). AppendBatch advances the frontier only
+// once a batch is on disk, so a shipper waiting here never sees an
+// uncommitted frame.
+func (l *Log) WaitCommitted(after uint64, stop <-chan struct{}) bool {
 	for {
 		l.mu.Lock()
 		committed := l.nextSeq - 1
 		ch := l.commitC
 		closed := l.closed
 		l.mu.Unlock()
-		if closed {
-			return committed, false
-		}
-		if committed > after {
-			return committed, true
+		if closed || committed > after {
+			return !closed
 		}
 		select {
 		case <-ch:
 		case <-stop:
-			return committed, false
+			return false
 		}
 	}
 }
@@ -533,36 +559,6 @@ func (l *Log) Reset(seq uint64) error {
 	return nil
 }
 
-// ReplayBatches calls fn once per committed batch whose first record has
-// sequence ≥ from, preserving the atomic-batch grouping AppendBatch wrote
-// (a standalone record is a batch of one). Shipping uses it so a standby
-// re-appends exactly the primary's commit units and a crash on either side
-// rolls back to the same batch boundary. from must itself be a batch
-// boundary — cursors only ever advance across whole batches.
-func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte) error) error {
-	var batch [][]byte
-	var first uint64
-	err := l.replayFlagged(from, func(r Record, more bool) error {
-		if len(batch) == 0 {
-			first = r.Seq
-		}
-		batch = append(batch, r.Data)
-		if more {
-			return nil
-		}
-		err := fn(first, batch)
-		batch = nil
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if len(batch) != 0 {
-		return fmt.Errorf("%w: batch starting at %d never terminated", ErrCorrupt, first)
-	}
-	return nil
-}
-
 // TruncateBefore removes whole segments all of whose records have sequence
 // < seq. It is called after a snapshot makes old records unnecessary. The
 // segment containing seq (and the active tail) are always kept, as is any
@@ -596,19 +592,6 @@ func (l *Log) Segments() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]uint64(nil), l.segs...)
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.file == nil {
-		return nil
-	}
-	if err := l.file.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }
 
 // Close syncs and closes the log. The log must not be used afterwards.

@@ -476,3 +476,53 @@ func TestAppendAllocs(t *testing.T) {
 		t.Errorf("AppendBatch(4) = %.1f allocs/op, want <= 1", got)
 	}
 }
+
+// TestAppendFailureIsSticky: once a batch's write fails, the segment may
+// hold torn bytes past the committed frontier, so the log must refuse
+// every later append — even after the fault clears — rather than land a
+// batch behind those bytes, where reopening would truncate it away.
+func TestAppendFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch([][]byte{[]byte("a"), []byte("b")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(l.Segments()[0]))
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writable := l.file
+	l.file = ro
+	if _, err := l.Append([]byte("fails")); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	// The failed write left a torn frame behind, and the fault clears.
+	if _, err := writable.Write([]byte{0x20, 0, 0, 0, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	l.file = writable
+	ro.Close()
+	if _, err := l.AppendBatch([][]byte{[]byte("d")}); err == nil {
+		t.Fatal("append after a failed append succeeded; it would land behind the torn bytes")
+	}
+	l.Close()
+
+	l2 := openT(t, dir, Options{})
+	var got []string
+	for _, r := range collect(t, l2, 1) {
+		got = append(got, string(r.Data))
+	}
+	if want := []string{"a", "b", "c"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reopened log replays %v, want the committed %v", got, want)
+	}
+	if seq, err := l2.Append([]byte("d")); err != nil || seq != 4 {
+		t.Fatalf("append after reopen = (%d, %v), want (4, nil)", seq, err)
+	}
+}
