@@ -69,6 +69,8 @@ func main() {
 		err = cmdHistory(os.Args[2:])
 	case "records":
 		err = cmdRecords(os.Args[2:])
+	case "migrate":
+		err = cmdMigrate(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -99,7 +101,8 @@ commands:
   gateway [flags]              route client RPCs to a federation of servers
   fed [file.ocr] [flags]       federation in a box: N servers + gateway demo
   history <store-dir> [flags]  inspect a persistent store: past runs, events
-  records <store-dir> [flags]  decode and pretty-print persist records (both formats)
+  records <store-dir> [flags]  decode and pretty-print persist records
+  migrate <store-dir>          convert a store of an older engine to the current format
 
 run and simulate accept -store <dir> to persist templates, state and
 history to disk (inspect them later with the history command).
@@ -613,21 +616,6 @@ func openStoreWith(dir string, reg *obs.Registry) (store.Store, error) {
 	return store.OpenDisk(dir, store.DiskOptions{Metrics: reg})
 }
 
-// historyInstance is the subset of the engine's archived instance record
-// the CLI renders.
-type historyInstance struct {
-	ID         string               `json:"id"`
-	Template   string               `json:"template"`
-	Status     core.InstanceStatus  `json:"status"`
-	Started    time.Duration        `json:"started"`
-	Ended      time.Duration        `json:"ended"`
-	Activities int                  `json:"activities"`
-	CPU        time.Duration        `json:"cpu"`
-	Failures   int                  `json:"failures"`
-	Outputs    map[string]ocr.Value `json:"outputs"`
-	Reason     string               `json:"failureReason"`
-}
-
 func cmdHistory(args []string) error {
 	fs := flag.NewFlagSet("history", flag.ExitOnError)
 	events := fs.Bool("events", false, "print the event journal too")
@@ -666,38 +654,31 @@ func cmdHistory(args []string) error {
 		if err != nil {
 			return err
 		}
-		var insts []historyInstance
+		var insts []core.InstanceMeta
 		for _, kv := range kvs {
 			if !strings.HasPrefix(kv.Key, "inst/") {
 				continue
 			}
-			// DecodeInstanceMeta reads both record formats (binary codec
-			// and legacy JSON).
 			m, err := core.DecodeInstanceMeta(kv.Value)
 			if err != nil {
-				continue
+				return fmt.Errorf("%s record %s: %w", space, kv.Key, err)
 			}
 			if *instance != "" && m.ID != *instance {
 				continue
 			}
-			insts = append(insts, historyInstance{
-				ID: m.ID, Template: m.Template, Status: m.Status,
-				Started: time.Duration(m.Started), Ended: time.Duration(m.Ended),
-				Activities: m.Activities, CPU: m.CPU, Failures: m.Failures,
-				Outputs: m.Outputs, Reason: m.FailureReason,
-			})
+			insts = append(insts, m)
 		}
 		if len(insts) == 0 {
 			return nil
 		}
 		fmt.Printf("%s (%d):\n", title, len(insts))
 		for _, h := range insts {
-			wall := h.Ended - h.Started
+			wall := time.Duration(h.Ended - h.Started)
 			fmt.Printf("  %s  %-10s %-9s wall %-12s cpu %-12s activities %-5d failures %d\n",
 				h.ID, h.Template, h.Status, wall.Round(time.Millisecond), h.CPU.Round(time.Millisecond),
 				h.Activities, h.Failures)
-			if h.Reason != "" {
-				fmt.Printf("      reason: %s\n", h.Reason)
+			if h.FailureReason != "" {
+				fmt.Printf("      reason: %s\n", h.FailureReason)
 			}
 			keys := make([]string, 0, len(h.Outputs))
 			for k := range h.Outputs {

@@ -10,14 +10,13 @@ import (
 )
 
 // cmdRecords decodes and pretty-prints the persist records of a store —
-// the operator's window into the binary record format. Every record family
-// of both encodings renders: binary codec records, legacy JSON records,
-// and raw interned process texts.
+// the operator's window into the binary record format. Binary codec
+// records render as JSON, interned process texts as raw text.
 func cmdRecords(args []string) error {
 	fs := flag.NewFlagSet("records", flag.ExitOnError)
 	spaceName := fs.String("space", "instance", "space to dump: instance, history, or all")
 	prefix := fs.String("prefix", "", "only keys with this prefix (e.g. inst/, task/p0001)")
-	keysOnly := fs.Bool("keys", false, "list keys and formats only, no record bodies")
+	keysOnly := fs.Bool("keys", false, "list keys and sizes only, no record bodies")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		return fmt.Errorf("usage: bioopera records <store-dir> [-space instance|history|all] [-prefix p] [-keys]")
 	}
@@ -55,12 +54,12 @@ func cmdRecords(args []string) error {
 				fmt.Printf("space %s:\n", sp)
 			}
 			shown++
-			format, rendered, err := core.FormatRecord(kv.Key, kv.Value)
+			rendered, err := core.FormatRecord(kv.Key, kv.Value)
 			if err != nil {
-				fmt.Printf("  %s  [%s, %d bytes]  UNDECODABLE: %v\n", kv.Key, format, len(kv.Value), err)
+				fmt.Printf("  %s  [%d bytes]  UNDECODABLE: %v\n", kv.Key, len(kv.Value), err)
 				continue
 			}
-			fmt.Printf("  %s  [%s, %d bytes]\n", kv.Key, format, len(kv.Value))
+			fmt.Printf("  %s  [%d bytes]\n", kv.Key, len(kv.Value))
 			if *keysOnly {
 				continue
 			}
@@ -73,4 +72,31 @@ func cmdRecords(args []string) error {
 		}
 	}
 	return nil
+}
+
+// cmdMigrate converts a store written by an earlier engine generation to
+// the one record format the engine reads, offline: JSON WAL frames first,
+// then JSON and whole-scope records in the instance and history spaces,
+// then a snapshot. Rerunning it converts nothing more.
+func cmdMigrate(args []string) error {
+	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("usage: bioopera migrate <store-dir>")
+	}
+	st, frames, err := store.MigrateDisk(args[0])
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	counts, err := core.Migrate(st)
+	if err != nil {
+		return err
+	}
+	if err := st.Snapshot(); err != nil {
+		return err
+	}
+	fmt.Printf("converted records:\n  %-8s %d\n", "wal", frames)
+	for _, family := range []string{"inst", "scope", "scopec", "scoped", "task"} {
+		fmt.Printf("  %-8s %d\n", family+"/", counts[family])
+	}
+	return st.Close()
 }

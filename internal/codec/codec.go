@@ -21,11 +21,12 @@
 // allocation-free. Decoders never panic on corrupt input: every read is
 // bounds-checked and errors are sticky.
 //
-// The magic byte doubles as the format discriminator against the legacy
-// JSON records (which always start with '{'): readers Sniff the first byte
-// and fall back to encoding/json, so old stores stay readable forever.
-// Version is bumped on any layout change; decoders reject versions they do
-// not know rather than misparse them.
+// This is the only record format the engine and the store read. Records
+// written before it (JSON, which always starts with '{') fail NewDecoder
+// with ErrLegacy; `bioopera migrate <store-dir>` converts such a store
+// offline, and is the only reader that Sniffs for them. Version is bumped
+// on any layout change; decoders reject versions they do not know rather
+// than misparse them.
 package codec
 
 import (
@@ -40,9 +41,10 @@ import (
 )
 
 const (
-	// Magic is the first byte of every binary record. Legacy JSON records
-	// begin with '{' (0x7B) and interned process texts are printable
-	// program text, so one byte distinguishes the formats.
+	// Magic is the first byte of every binary record. JSON records of
+	// earlier engine generations begin with '{' (0x7B) and interned
+	// process texts are printable program text, so a record without it is
+	// refused (ErrLegacy), never misparsed.
 	Magic byte = 0xBF
 	// Version is the current layout version, the second byte of every
 	// record.
@@ -52,11 +54,17 @@ const (
 )
 
 // Sniff reports whether data looks like a binary codec record (as opposed
-// to a legacy JSON record or raw text).
+// to a JSON record of an earlier engine generation, or raw text). Only the
+// offline migration needs to ask.
 func Sniff(data []byte) bool { return len(data) > 0 && data[0] == Magic }
 
-// ErrCorrupt is wrapped by every decode error.
+// ErrCorrupt is wrapped by every decode error of a binary record.
 var ErrCorrupt = errors.New("codec: corrupt record")
+
+// ErrLegacy is returned by NewDecoder for data without the magic byte: a
+// record written before this format existed. The store holding it must be
+// converted offline before the engine can read it.
+var ErrLegacy = errors.New("codec: record predates the binary format; convert the store with `bioopera migrate <store-dir>`")
 
 // Encoder appends binary records to one reusable buffer. Begin/End bracket
 // each record; Span returns the bytes of a finished record. The zero value
@@ -235,10 +243,14 @@ type Decoder struct {
 }
 
 // NewDecoder validates the record header and returns a decoder positioned
-// at the first field, plus the record kind.
+// at the first field, plus the record kind. Data without the magic byte
+// fails with ErrLegacy, a short or unknown-version header with ErrCorrupt.
 func NewDecoder(data []byte) (*Decoder, byte, error) {
-	if len(data) < headerLen || data[0] != Magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if len(data) == 0 || data[0] != Magic {
+		return nil, 0, ErrLegacy
+	}
+	if len(data) < headerLen {
+		return nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if data[1] != Version {
 		return nil, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, data[1])

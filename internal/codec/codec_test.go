@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -291,4 +292,17 @@ func TestSniff(t *testing.T) {
 		t.Fatal("binary record not sniffed")
 	}
 	Put(e)
+}
+
+func TestNewDecoderRefusesLegacy(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte(`{"op":"put"}`), []byte("PROCESS P {}")} {
+		if _, _, err := NewDecoder(data); err != ErrLegacy {
+			t.Errorf("NewDecoder(%q) = %v, want ErrLegacy", data, err)
+		}
+	}
+	for _, data := range [][]byte{{Magic}, {Magic, 99, 1}} {
+		if _, _, err := NewDecoder(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("NewDecoder(%v) = %v, want ErrCorrupt", data, err)
+		}
+	}
 }

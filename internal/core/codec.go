@@ -3,21 +3,20 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"bioopera/internal/codec"
-	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
 // Binary encoders/decoders for the persist-record DTO families (DESIGN.md
-// §12). The checkpoint flusher encodes through these; recovery decodes both
-// formats forever — the decode* helpers sniff the codec magic byte and fall
-// back to encoding/json for records written by earlier engine generations.
-// Interned proc/ records are raw process text and stay format-free.
+// §12). The checkpoint flusher encodes through these and recovery decodes
+// through them; they read no other format. A JSON record of an earlier
+// engine fails with codec.ErrLegacy (`bioopera migrate` converts it, see
+// migrate.go). Interned proc/ records are raw process text and stay
+// format-free.
 
 // Record kinds of the core persist families. The store's WAL records use a
 // disjoint range (see internal/store) so a misfiled record fails loudly.
@@ -47,7 +46,7 @@ func encodeMeta(e *codec.Encoder, dto *instanceDTO) int {
 	return e.End()
 }
 
-func decodeMetaBinary(data []byte) (instanceDTO, error) {
+func decodeMeta(data []byte) (instanceDTO, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return instanceDTO{}, err
@@ -86,7 +85,7 @@ func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) int {
 	return e.End()
 }
 
-func decodeCreateBinary(data []byte) (scopeCreateDTO, error) {
+func decodeCreate(data []byte) (scopeCreateDTO, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return scopeCreateDTO{}, err
@@ -115,7 +114,7 @@ func encodeDyn(e *codec.Encoder, dto *scopeDynDTO) int {
 	return e.End()
 }
 
-func decodeDynBinary(data []byte) (scopeDynDTO, error) {
+func decodeDyn(data []byte) (scopeDynDTO, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return scopeDynDTO{}, err
@@ -152,7 +151,7 @@ func encodeTask(e *codec.Encoder, dto *taskDTO) int {
 	return e.End()
 }
 
-func decodeTaskBinary(data []byte) (taskDTO, error) {
+func decodeTask(data []byte) (taskDTO, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return taskDTO{}, err
@@ -180,137 +179,40 @@ func decodeTaskBinary(data []byte) (taskDTO, error) {
 	return dto, d.Finish()
 }
 
-// The dual-format decoders: binary records carry the codec magic, legacy
-// JSON records start with '{'. wasJSON lets recovery mark JSON-sourced
-// records for conversion — the first post-recovery checkpoint rewrites
-// them binary, the same convert-in-place rule PR 5 used for whole-scope
-// records.
-
-func decodeMetaRecord(data []byte) (dto instanceDTO, wasJSON bool, err error) {
-	if codec.Sniff(data) {
-		dto, err = decodeMetaBinary(data)
-		return dto, false, err
-	}
-	err = json.Unmarshal(data, &dto)
-	return dto, err == nil, err
-}
-
-func decodeCreateRecord(data []byte) (dto scopeCreateDTO, wasJSON bool, err error) {
-	if codec.Sniff(data) {
-		dto, err = decodeCreateBinary(data)
-		return dto, false, err
-	}
-	err = json.Unmarshal(data, &dto)
-	return dto, err == nil, err
-}
-
-func decodeDynRecord(data []byte) (dto scopeDynDTO, wasJSON bool, err error) {
-	if codec.Sniff(data) {
-		dto, err = decodeDynBinary(data)
-		return dto, false, err
-	}
-	err = json.Unmarshal(data, &dto)
-	return dto, err == nil, err
-}
-
-func decodeTaskRecord(data []byte) (dto taskDTO, wasJSON bool, err error) {
-	if codec.Sniff(data) {
-		dto, err = decodeTaskBinary(data)
-		return dto, false, err
-	}
-	err = json.Unmarshal(data, &dto)
-	return dto, err == nil, err
-}
-
-// DecodeInstanceMeta decodes an inst/<id> record of either format into its
-// exported shape — the operator-facing view used by the history CLI and
-// the records inspector.
-func DecodeInstanceMeta(data []byte) (InstanceMeta, error) {
-	dto, _, err := decodeMetaRecord(data)
-	if err != nil {
-		return InstanceMeta{}, err
-	}
-	return InstanceMeta{
-		ID: dto.ID, Template: dto.Template, Status: dto.Status,
-		Priority: dto.Priority, Nice: dto.Nice, Tenant: dto.Tenant,
-		Started: dto.Started, Ended: dto.Ended,
-		Activities: dto.Activities, CPU: dto.CPU,
-		Failures: dto.Failures, Retries: dto.Retries,
-		Outputs: dto.Outputs, FailureReason: dto.FailureReason,
-	}, nil
-}
-
 // InstanceMeta is the exported form of an instance metadata record.
-type InstanceMeta struct {
-	ID            string               `json:"id"`
-	Template      string               `json:"template"`
-	Status        InstanceStatus       `json:"status"`
-	Priority      int                  `json:"priority,omitempty"`
-	Nice          bool                 `json:"nice,omitempty"`
-	Tenant        string               `json:"tenant,omitempty"`
-	Started       sim.Time             `json:"started"`
-	Ended         sim.Time             `json:"ended,omitempty"`
-	Activities    int                  `json:"activities,omitempty"`
-	CPU           time.Duration        `json:"cpu,omitempty"`
-	Failures      int                  `json:"failures,omitempty"`
-	Retries       int                  `json:"retries,omitempty"`
-	Outputs       map[string]ocr.Value `json:"outputs,omitempty"`
-	FailureReason string               `json:"failureReason,omitempty"`
-}
+type InstanceMeta = instanceDTO
+
+// DecodeInstanceMeta decodes an inst/<id> record into its exported shape —
+// the operator-facing view used by the history CLI.
+func DecodeInstanceMeta(data []byte) (InstanceMeta, error) { return decodeMeta(data) }
 
 // FormatRecord renders one instance/history-space store record for a human:
-// binary and legacy JSON records both come back as canonical indented JSON,
-// interned process texts as the raw text. format names what was on disk
-// ("binary", "json", or "text").
-func FormatRecord(key string, value []byte) (format, rendered string, err error) {
-	render := func(v any) (string, error) {
-		out, err := json.MarshalIndent(v, "", "  ")
-		return string(out), err
-	}
-	format = "json"
-	if codec.Sniff(value) {
-		format = "binary"
-	}
+// binary records as canonical indented JSON, interned process texts as the
+// raw text.
+func FormatRecord(key string, value []byte) (string, error) {
+	var (
+		dto any
+		err error
+	)
 	switch {
 	case strings.HasPrefix(key, "inst/"):
-		dto, _, err := decodeMetaRecord(value)
-		if err != nil {
-			return format, "", err
-		}
-		rendered, err = render(dto)
-		return format, rendered, err
+		dto, err = decodeMeta(value)
 	case strings.HasPrefix(key, "scopec/"):
-		dto, _, err := decodeCreateRecord(value)
-		if err != nil {
-			return format, "", err
-		}
-		rendered, err = render(dto)
-		return format, rendered, err
+		dto, err = decodeCreate(value)
 	case strings.HasPrefix(key, "scoped/"):
-		dto, _, err := decodeDynRecord(value)
-		if err != nil {
-			return format, "", err
-		}
-		rendered, err = render(dto)
-		return format, rendered, err
+		dto, err = decodeDyn(value)
 	case strings.HasPrefix(key, "task/"):
-		dto, _, err := decodeTaskRecord(value)
-		if err != nil {
-			return format, "", err
-		}
-		rendered, err = render(dto)
-		return format, rendered, err
-	case strings.HasPrefix(key, "scope/"):
-		var dto scopeDTO
-		if err := json.Unmarshal(value, &dto); err != nil {
-			return format, "", err
-		}
-		rendered, err = render(dto)
-		return format, rendered, err
+		dto, err = decodeTask(value)
 	case strings.HasPrefix(key, "proc/"):
-		return "text", string(value), nil
+		return string(value), nil
+	default:
+		return "", fmt.Errorf("core: unknown record family for key %q", key)
 	}
-	return format, "", fmt.Errorf("core: unknown record family for key %q", key)
+	if err != nil {
+		return "", err
+	}
+	out, err := json.MarshalIndent(dto, "", "  ")
+	return string(out), err
 }
 
 // encodeCkpt encodes every DTO of a checkpoint into the checkpoint's
@@ -355,18 +257,4 @@ func encodeCkpt(in *Instance, ck *ckpt, space store.Space) (ops []store.Op, byte
 		ops = append(ops, store.Op{Space: space, Key: taskKey(in.ID, ck.tasks[i].sc.ID, ck.tasks[i].dto.Name), Value: span()})
 	}
 	return ops, bytes
-}
-
-// sortedJSONTasks returns the JSON-sourced task names of a recovered scope
-// in deterministic order, for conversion marking.
-func sortedJSONTasks(r *scopeRec) []string {
-	if len(r.jsonTasks) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(r.jsonTasks))
-	for name := range r.jsonTasks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

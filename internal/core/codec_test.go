@@ -101,28 +101,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		encodeDyn(e, &dyn)
 		encodeTask(e, &task)
 
-		gotMeta, err := decodeMetaBinary(e.Span(0))
+		gotMeta, err := decodeMeta(e.Span(0))
 		if err != nil {
 			t.Fatalf("meta: %v", err)
 		}
 		if !reflect.DeepEqual(gotMeta, meta) {
 			t.Fatalf("meta round trip:\n got %+v\nwant %+v", gotMeta, meta)
 		}
-		gotCreate, err := decodeCreateBinary(e.Span(1))
+		gotCreate, err := decodeCreate(e.Span(1))
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		if !reflect.DeepEqual(gotCreate, create) {
 			t.Fatalf("create round trip:\n got %+v\nwant %+v", gotCreate, create)
 		}
-		gotDyn, err := decodeDynBinary(e.Span(2))
+		gotDyn, err := decodeDyn(e.Span(2))
 		if err != nil {
 			t.Fatalf("dyn: %v", err)
 		}
 		if !reflect.DeepEqual(gotDyn, dyn) {
 			t.Fatalf("dyn round trip:\n got %+v\nwant %+v", gotDyn, dyn)
 		}
-		gotTask, err := decodeTaskBinary(e.Span(3))
+		gotTask, err := decodeTask(e.Span(3))
 		if err != nil {
 			t.Fatalf("task: %v", err)
 		}
@@ -161,11 +161,10 @@ func TestCodecEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestRecoverJSONDeltaStoreByteEquivalent is the mixed-format dependability
-// property: a store written by the previous (JSON) engine generation must
-// recover into exactly the state the binary engine recovers from its own
-// store — and the first recovery converts every delta record to binary in
-// place, so the JSON decode path is paid once per record, ever.
+// TestRecoverJSONDeltaStoreByteEquivalent is the format-migration
+// dependability property: recovery refuses a store written by the previous
+// (JSON) engine generation, and after migrate the store recovers into
+// exactly the state the binary engine recovers from its own store.
 func TestRecoverJSONDeltaStoreByteEquivalent(t *testing.T) {
 	stA := store.NewMem()
 	rtA := newRuntime(t, SimConfig{Store: stA})
@@ -186,18 +185,18 @@ func TestRecoverJSONDeltaStoreByteEquivalent(t *testing.T) {
 	converted := 0
 	for _, kv := range kvs {
 		v := kv.Value
-		if codec.Sniff(v) {
+		if len(v) > 0 && v[0] == codec.Magic {
 			converted++
 			var dto any
 			switch {
 			case strings.HasPrefix(kv.Key, "inst/"):
-				dto, err = decodeMetaBinary(v)
+				dto, err = decodeMeta(v)
 			case strings.HasPrefix(kv.Key, "scopec/"):
-				dto, err = decodeCreateBinary(v)
+				dto, err = decodeCreate(v)
 			case strings.HasPrefix(kv.Key, "scoped/"):
-				dto, err = decodeDynBinary(v)
+				dto, err = decodeDyn(v)
 			case strings.HasPrefix(kv.Key, "task/"):
-				dto, err = decodeTaskBinary(v)
+				dto, err = decodeTask(v)
 			default:
 				t.Fatalf("unexpected binary record %q", kv.Key)
 			}
@@ -220,10 +219,19 @@ func TestRecoverJSONDeltaStoreByteEquivalent(t *testing.T) {
 	if n, err := rtA.Engine.Recover(); err != nil || n != 1 {
 		t.Fatalf("recover binary store = %d, %v", n, err)
 	}
+	recoverRefusesLegacy(t, stB, []string{id}, 0)
+	counts := migrateStore(t, stB)
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total != converted || counts["inst"] != 1 {
+		t.Fatalf("migrate counts = %v, want %d records with 1 inst", counts, converted)
+	}
 	rtB := newRuntime(t, SimConfig{Store: stB})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover JSON store = %d, %v", n, err)
+		t.Fatalf("recover migrated JSON store = %d, %v", n, err)
 	}
 
 	inA, _ := rtA.Engine.Instance(id)
@@ -232,25 +240,7 @@ func TestRecoverJSONDeltaStoreByteEquivalent(t *testing.T) {
 		t.Fatal("JSON-store instance not recovered")
 	}
 	if dumpA, dumpB := dumpInstance(t, inA), dumpInstance(t, inB); dumpA != dumpB {
-		t.Fatalf("JSON-store recovery diverged from binary-store recovery:\n--- binary ---\n%s\n--- json ---\n%s", dumpA, dumpB)
-	}
-
-	// Convert-in-place: after one recovery, every delta record in the
-	// JSON store is binary again (proc/ stays raw text).
-	kvs, err = stB.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range kvs {
-		if strings.HasPrefix(kv.Key, "proc/") {
-			if codec.Sniff(kv.Value) {
-				t.Fatalf("proc record %s is not raw text", kv.Key)
-			}
-			continue
-		}
-		if !codec.Sniff(kv.Value) {
-			t.Errorf("record %s still JSON after recovery: %s", kv.Key, kv.Value)
-		}
+		t.Fatalf("migrated JSON-store recovery diverged from binary-store recovery:\n--- binary ---\n%s\n--- json ---\n%s", dumpA, dumpB)
 	}
 
 	// Both finish with the same answer.

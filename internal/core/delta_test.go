@@ -3,24 +3,27 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
-// These tests cover the incremental-checkpoint layout: recovery from
-// legacy whole-scope stores (byte-equivalent state), mixed-layout stores,
-// torn mid-delta batches, checkpoint failure re-marking, and allocation
-// guards on the persist hot path.
+// These tests cover the incremental-checkpoint layout: legacy whole-scope
+// and mixed-layout stores (refused by recovery, then migrated and recovered
+// byte-equivalent), torn mid-delta batches, checkpoint failure re-marking,
+// and allocation guards on the persist hot path.
 
 // legacyScopeDTO replicates the first engine generation's whole-scope
 // record writer exactly (one scopeDTO per scope, tasks in Proc order), so
@@ -55,12 +58,17 @@ func legacyScopeDTO(sc *scope) scopeDTO {
 // writeLegacyInstance stores an instance in the old layout: one inst/
 // metadata record plus one whole-scope record per scope.
 func writeLegacyInstance(t *testing.T, st store.Store, in *Instance) {
+	writeLegacyRecords(t, st, store.Instance, in)
+}
+
+// writeLegacyRecords writes the old-layout records of in into space.
+func writeLegacyRecords(t *testing.T, st store.Store, space store.Space, in *Instance) {
 	t.Helper()
 	meta, err := json.Marshal(buildInstanceDTO(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(store.Instance, metaKey(in.ID), meta); err != nil {
+	if err := st.Put(space, metaKey(in.ID), meta); err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range in.scopes {
@@ -68,7 +76,7 @@ func writeLegacyInstance(t *testing.T, st store.Store, in *Instance) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(store.Instance, legacyScopeKey(in.ID, sc.ID), data); err != nil {
+		if err := st.Put(space, "scope/"+in.ID+"/"+nzScope(sc.ID), data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,11 +124,74 @@ func quiesceSuspended(t *testing.T, rt *SimRuntime, id string, at sim.Time) {
 	}
 }
 
+// recoverRefusesLegacy recovers st in a fresh engine and checks that
+// exactly the instances in legacy fail, each through OnError with
+// codec.ErrLegacy, while the other `others` instances recover.
+func recoverRefusesLegacy(t *testing.T, st store.Store, legacy []string, others int) {
+	t.Helper()
+	var errs []error
+	rt := newRuntime(t, SimConfig{Store: st, Options: Options{OnError: func(err error) { errs = append(errs, err) }}})
+	register(t, rt, parallelSrc)
+	n, err := rt.Engine.Recover()
+	if n != others || !errors.Is(err, codec.ErrLegacy) {
+		t.Fatalf("recover before migrate = %d, %v; want %d recovered and codec.ErrLegacy", n, err, others)
+	}
+	if len(errs) != len(legacy) {
+		t.Fatalf("OnError got %d errors, want %d: %v", len(errs), len(legacy), errs)
+	}
+	for i, id := range legacy {
+		if !errors.Is(errs[i], codec.ErrLegacy) || !strings.Contains(errs[i].Error(), id) {
+			t.Fatalf("OnError[%d] = %v, want codec.ErrLegacy for %s", i, errs[i], id)
+		}
+	}
+	rt.Engine.Crash()
+}
+
+// migrateStore runs core.Migrate over st, checks that afterwards every
+// record but the raw proc/ texts is binary and no scope/ record is left,
+// checks that a second run converts nothing, and returns the first run's
+// counts.
+func migrateStore(t *testing.T, st store.Store) map[string]int {
+	t.Helper()
+	counts, err := Migrate(st)
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	for _, sp := range []store.Space{store.Instance, store.History} {
+		kvs, err := st.List(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range kvs {
+			switch {
+			case strings.HasPrefix(kv.Key, "scope/"):
+				t.Fatalf("whole-scope record %s survived migrate", kv.Key)
+			case strings.HasPrefix(kv.Key, "proc/"):
+				if len(kv.Value) > 0 && kv.Value[0] == codec.Magic {
+					t.Fatalf("proc record %s is not raw text", kv.Key)
+				}
+			case len(kv.Value) == 0 || kv.Value[0] != codec.Magic:
+				t.Fatalf("record %s is not binary after migrate: %s", kv.Key, kv.Value)
+			}
+		}
+	}
+	again, err := Migrate(st)
+	if err != nil {
+		t.Fatalf("second migrate: %v", err)
+	}
+	for family, n := range again {
+		if n != 0 {
+			t.Fatalf("second migrate converted %d %s records", n, family)
+		}
+	}
+	return counts
+}
+
 func TestRecoverLegacyLayoutByteEquivalent(t *testing.T) {
-	// Drive one instance mid-flight in the new layout, fabricate the same
-	// execution state as a legacy whole-scope store, and recover both: the
-	// rebuilt instances must be byte-identical, and the legacy instance
-	// must finish with the same result.
+	// Drive one instance mid-flight in the new layout and fabricate the
+	// same execution state as a legacy whole-scope store. Recovery refuses
+	// the legacy store; after migrate it recovers byte-identically to the
+	// new-layout recovery and finishes with the same result.
 	stA := store.NewMem()
 	rtA := newRuntime(t, SimConfig{Store: stA})
 	register(t, rtA, parallelSrc)
@@ -136,10 +207,15 @@ func TestRecoverLegacyLayoutByteEquivalent(t *testing.T) {
 	if n, err := rtA.Engine.Recover(); err != nil || n != 1 {
 		t.Fatalf("recover new layout = %d, %v", n, err)
 	}
+	recoverRefusesLegacy(t, stB, []string{id}, 0)
+	counts := migrateStore(t, stB)
+	if counts["inst"] != 1 || counts["scope"] != len(inA.scopes) {
+		t.Fatalf("migrate counts = %v, want 1 inst and %d scope records", counts, len(inA.scopes))
+	}
 	rtB := newRuntime(t, SimConfig{Store: stB})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover legacy layout = %d, %v", n, err)
+		t.Fatalf("recover migrated legacy layout = %d, %v", n, err)
 	}
 
 	inA, _ = rtA.Engine.Instance(id)
@@ -149,30 +225,7 @@ func TestRecoverLegacyLayoutByteEquivalent(t *testing.T) {
 	}
 	dumpA, dumpB := dumpInstance(t, inA), dumpInstance(t, inB)
 	if dumpA != dumpB {
-		t.Fatalf("legacy recovery diverged from new-layout recovery:\n--- new ---\n%s\n--- legacy ---\n%s", dumpA, dumpB)
-	}
-
-	// The legacy instance was converted on recovery: whole-scope records
-	// replaced by delta records in the same store.
-	kvs, err := stB.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var haveCreate, haveTask, haveProc bool
-	for _, kv := range kvs {
-		switch {
-		case strings.HasPrefix(kv.Key, "scope/"):
-			t.Fatalf("legacy record %s survived conversion", kv.Key)
-		case strings.HasPrefix(kv.Key, "scopec/"):
-			haveCreate = true
-		case strings.HasPrefix(kv.Key, "task/"):
-			haveTask = true
-		case strings.HasPrefix(kv.Key, "proc/"):
-			haveProc = true
-		}
-	}
-	if !haveCreate || !haveTask || !haveProc {
-		t.Fatalf("conversion incomplete: create=%v task=%v proc=%v", haveCreate, haveTask, haveProc)
+		t.Fatalf("migrated legacy recovery diverged from new-layout recovery:\n--- new ---\n%s\n--- legacy ---\n%s", dumpA, dumpB)
 	}
 
 	// Both finish with the same answer.
@@ -191,8 +244,10 @@ func TestRecoverLegacyLayoutByteEquivalent(t *testing.T) {
 }
 
 func TestRecoverMixedLayoutStore(t *testing.T) {
-	// One store holding a new-layout instance alongside a legacy-layout
-	// instance: both must recover and run to completion.
+	// One disk store holding a new-layout instance alongside a
+	// legacy-layout one: recovery adopts the first and refuses the second;
+	// after the offline migrate (store stage, core stage, snapshot) both
+	// recover byte-identically to the new-layout recovery and complete.
 	stA := store.NewMem()
 	rtA := newRuntime(t, SimConfig{Store: stA})
 	register(t, rtA, parallelSrc)
@@ -209,7 +264,11 @@ func TestRecoverMixedLayoutStore(t *testing.T) {
 	rtA.RunUntil(sim.Time(2500 * time.Millisecond))
 
 	// id1 keeps its new-layout records; id2 is rewritten as legacy.
-	stM := store.NewMem()
+	dir := t.TempDir()
+	stM, err := store.OpenDisk(dir, store.DiskOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	kvs, err := stA.List(store.Instance)
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +282,49 @@ func TestRecoverMixedLayoutStore(t *testing.T) {
 	}
 	in2, _ := rtA.Engine.Instance(id2)
 	writeLegacyInstance(t, stM, in2)
+	recoverRefusesLegacy(t, stM, []string{id2}, 1)
+	if err := stM.Close(); err != nil {
+		t.Fatal(err)
+	}
 
+	stM, frames, err := store.MigrateDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames != 0 {
+		t.Fatalf("binary WAL reported %d JSON frames", frames)
+	}
+	counts := migrateStore(t, stM)
+	if counts["inst"] != 1 || counts["scope"] != len(in2.scopes) {
+		t.Fatalf("migrate counts = %v, want 1 inst and %d scope records", counts, len(in2.scopes))
+	}
+	if err := stM.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stM.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stM, err = store.OpenDisk(dir, store.DiskOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stM.Close()
+
+	rtA.Engine.Crash()
+	if n, err := rtA.Engine.Recover(); err != nil || n != 2 {
+		t.Fatalf("recover new layout = %d, %v", n, err)
+	}
 	rtM := newRuntime(t, SimConfig{Store: stM})
 	register(t, rtM, parallelSrc)
 	if n, err := rtM.Engine.Recover(); err != nil || n != 2 {
-		t.Fatalf("recover mixed store = %d, %v", n, err)
+		t.Fatalf("recover migrated mixed store = %d, %v", n, err)
 	}
 	for _, id := range []string{id1, id2} {
+		inA, _ := rtA.Engine.Instance(id)
+		inM, _ := rtM.Engine.Instance(id)
+		if dumpA, dumpM := dumpInstance(t, inA), dumpInstance(t, inM); dumpA != dumpM {
+			t.Fatalf("%s: migrated mixed-store recovery diverged from new-layout recovery:\n--- new ---\n%s\n--- migrated ---\n%s", id, dumpA, dumpM)
+		}
 		if err := rtM.Engine.Resume(id); err != nil {
 			t.Fatal(err)
 		}
@@ -242,6 +337,89 @@ func TestRecoverMixedLayoutStore(t *testing.T) {
 	in2 = finished(t, rtM, id2)
 	if got := in2.Outputs["doubled"].At(3).AsNum(); got != 80 {
 		t.Fatalf("id2 doubled[3] = %v", got)
+	}
+	rtM.Engine.QuiesceCheckpoints()
+}
+
+func TestMigrateLegacyArchiveMatchesEngineArchive(t *testing.T) {
+	// A finished instance archived by an engine of the first generation
+	// (whole-scope records in the history space) migrates into exactly
+	// the records the current engine's archive writes, byte for byte.
+	stA := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: stA})
+	register(t, rtA, parallelSrc)
+	id := start(t, rtA, "Par", map[string]ocr.Value{"xs": ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3))})
+	rtA.Run()
+	in := finished(t, rtA, id)
+	rtA.Engine.QuiesceCheckpoints()
+
+	stB := store.NewMem()
+	writeLegacyRecords(t, stB, store.History, in)
+	if counts := migrateStore(t, stB); counts["inst"] != 1 || counts["scope"] != len(in.scopes) {
+		t.Fatalf("migrate counts = %v, want 1 inst and %d scope records", counts, len(in.scopes))
+	}
+	want, err := stA.List(store.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stB.List(store.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("migrated archive has %d records, engine archive %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
+			t.Fatalf("record %d: migrated %s = %x, engine %s = %x", i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+		}
+	}
+}
+
+// cutStore commits `left` batches, then fails every later one: a migrate
+// interrupted part-way.
+type cutStore struct {
+	store.Store
+	left int
+}
+
+func (c *cutStore) Batch(ops []store.Op) error {
+	if c.left == 0 {
+		return errors.New("interrupted")
+	}
+	c.left--
+	return c.Store.Batch(ops)
+}
+
+func TestMigrateInterruptedRerunFinishes(t *testing.T) {
+	// Two legacy instances; the first migrate stops after one instance's
+	// batch. A rerun converts only the other one and leaves exactly the
+	// store an uninterrupted run produces.
+	stA := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: stA})
+	register(t, rtA, parallelSrc)
+	var ids []string
+	for _, n := range []float64{1, 10} {
+		ids = append(ids, start(t, rtA, "Par", map[string]ocr.Value{"xs": ocr.List(ocr.Num(n), ocr.Num(n+1))}))
+	}
+	rtA.RunUntil(sim.Time(500 * time.Millisecond))
+	clean, cut := store.NewMem(), store.NewMem()
+	for _, id := range ids {
+		in, _ := rtA.Engine.Instance(id)
+		writeLegacyInstance(t, clean, in)
+		writeLegacyInstance(t, cut, in)
+	}
+	if _, err := Migrate(&cutStore{Store: cut, left: 1}); err == nil {
+		t.Fatal("interrupted migrate reported success")
+	}
+	if counts := migrateStore(t, cut); counts["inst"] != 1 {
+		t.Fatalf("rerun converted %d inst records, want only the second instance's", counts["inst"])
+	}
+	migrateStore(t, clean)
+	want, _ := clean.List(store.Instance)
+	got, _ := cut.List(store.Instance)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("interrupted-then-rerun migrate differs from an uninterrupted one")
 	}
 }
 

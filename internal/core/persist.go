@@ -29,7 +29,6 @@ import (
 //	scoped/<id>/<scope>       scope-dynamic record: owned whiteboard entries + done flag
 //	task/<id>/<scope>/<task>  one record per task (root scope encodes as "-")
 //	proc/<id>/<hash>          interned process text, referenced by scope-create
-//	scope/<id>/<scope>        legacy whole-scope record (still read; never written)
 //
 // A checkpoint is snapshotted into plain DTOs under the shard lock (persist)
 // and marshaled + committed after the lock is released (flushCkpt), ordered
@@ -38,10 +37,9 @@ import (
 // is one group-committed WAL append shared with other instances' checkpoints.
 //
 // Completed/failed instances move to the history space under the same keys.
-// Recovery rebuilds instances from either layout (mixed stores recover
-// cleanly); activities recorded as running are re-queued, and navigation
-// decisions in flight are re-derived by re-propagating the connectors of
-// terminal tasks.
+// Recovery rebuilds instances from these records; activities recorded as
+// running are re-queued, and navigation decisions in flight are re-derived
+// by re-propagating the connectors of terminal tasks.
 
 type taskDTO struct {
 	Name      string               `json:"name"`
@@ -57,10 +55,9 @@ type taskDTO struct {
 	EndedAt   sim.Time             `json:"endedAt,omitempty"`
 	CPUTime   time.Duration        `json:"cpuTime,omitempty"`
 	// ChildWaiting and Results are derived state: recovery recomputes them
-	// from the child scopes (resumeBlock/resumeChildScope), so new-layout
-	// task records leave them zero — otherwise every child completion of an
-	// n-wide block would re-marshal the parent's O(n) result list. They are
-	// still decoded from legacy whole-scope records.
+	// from the child scopes (resumeBlock/resumeChildScope), so task records
+	// leave them zero — otherwise every child completion of an n-wide block
+	// would re-encode the parent's O(n) result list.
 	ChildWaiting int         `json:"childWaiting,omitempty"`
 	Results      []ocr.Value `json:"results,omitempty"`
 	// OverElems is written once, when the parallel block expands.
@@ -74,8 +71,8 @@ type scopeCreateDTO struct {
 	IsRoot     bool   `json:"isRoot,omitempty"`
 	ParentTask string `json:"parentTask,omitempty"`
 	ElemIndex  int    `json:"elemIndex"`
-	// ProcRef names an interned proc/<inst>/<hash> record; ProcText is the
-	// inline fallback kept for robustness when decoding foreign records.
+	// ProcRef names an interned proc/<inst>/<hash> record. ProcText is
+	// never set: it keeps its slot in the v1 binary layout, always empty.
 	ProcRef  string `json:"procRef,omitempty"`
 	ProcText string `json:"proc,omitempty"`
 }
@@ -85,27 +82,13 @@ type scopeCreateDTO struct {
 // keys re-inherit the parent scope's value on recovery, so an n-wide block's
 // children never re-serialize the parent whiteboard they merely inherited.
 // Drop masks keys the parent gained after this scope spawned. Full marks a
-// complete whiteboard (root scopes, subprocess bodies, legacy conversions,
-// archived records).
+// complete whiteboard (root scopes, subprocess bodies, migrated whole-scope
+// records, archived records).
 type scopeDynDTO struct {
 	Entries map[string]ocr.Value `json:"entries,omitempty"`
 	Drop    []string             `json:"drop,omitempty"`
 	Full    bool                 `json:"full,omitempty"`
 	Done    bool                 `json:"done,omitempty"`
-}
-
-// scopeDTO is the legacy whole-scope record (first engine generation).
-// Recovery still decodes it; the engine never writes it.
-type scopeDTO struct {
-	ID         string               `json:"id"`
-	Parent     string               `json:"parent"`
-	IsRoot     bool                 `json:"isRoot,omitempty"`
-	ParentTask string               `json:"parentTask,omitempty"`
-	ElemIndex  int                  `json:"elemIndex"`
-	ProcText   string               `json:"proc"`
-	Whiteboard map[string]ocr.Value `json:"whiteboard"`
-	Tasks      []taskDTO            `json:"tasks"`
-	Done       bool                 `json:"done,omitempty"`
 }
 
 type instanceDTO struct {
@@ -135,7 +118,6 @@ func nzScope(scopeID string) string {
 	return scopeID
 }
 
-func legacyScopeKey(id, scopeID string) string { return "scope/" + id + "/" + nzScope(scopeID) }
 func scopeCreateKey(id, scopeID string) string { return "scopec/" + id + "/" + nzScope(scopeID) }
 func scopeDynKey(id, scopeID string) string    { return "scoped/" + id + "/" + nzScope(scopeID) }
 func taskKey(id, scopeID, task string) string {
@@ -410,7 +392,7 @@ func (e *Engine) snapshotScope(in *Instance, ck *ckpt, sc *scope, archive bool) 
 
 // persist snapshots the instance's dirty state as one checkpoint. The
 // caller holds the shard lock; the snapshot is cheap (DTO structs and map
-// copies for fields that can mutate before the flush) — JSON marshaling
+// copies for fields that can mutate before the flush) — record encoding
 // and the store batch happen in flushCkpt once endTurn releases the lock.
 func (e *Engine) persist(in *Instance) {
 	ck := getCkpt()
@@ -493,17 +475,14 @@ func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
 	ops, bytes := encodeCkpt(in, ck, space)
 	records := len(ops)
 	if ck.archive {
-		// One pass: the history puts above reuse the marshaled bytes, and
-		// the same batch clears every instance-space record — both record
-		// shapes, so archives of converted legacy instances leave nothing
-		// behind.
+		// One pass: the history puts above reuse the encoded bytes, and
+		// the same batch clears every instance-space record.
 		ops = append(ops, store.Op{Space: store.Instance, Key: metaKey(in.ID), Delete: true})
 		for i := range ck.creates {
 			id := ck.creates[i].dto.ID
 			ops = append(ops,
 				store.Op{Space: store.Instance, Key: scopeCreateKey(in.ID, id), Delete: true},
-				store.Op{Space: store.Instance, Key: scopeDynKey(in.ID, id), Delete: true},
-				store.Op{Space: store.Instance, Key: legacyScopeKey(in.ID, id), Delete: true})
+				store.Op{Space: store.Instance, Key: scopeDynKey(in.ID, id), Delete: true})
 		}
 		for i := range ck.tasks {
 			ops = append(ops, store.Op{Space: store.Instance, Key: taskKey(in.ID, ck.tasks[i].sc.ID, ck.tasks[i].dto.Name), Delete: true})

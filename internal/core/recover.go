@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
 )
@@ -19,8 +19,8 @@ import (
 //  1. A serial scan groups the Instance space's raw records by instance
 //     (keys carry the instance ID, so no value is decoded except the small
 //     inst/ metadata record).
-//  2. Workers decode and rebuild instances in parallel — decoding JSON and
-//     parsing process text dominate recovery cost and touch only
+//  2. Workers decode and rebuild instances in parallel — decoding records
+//     and parsing process text dominate recovery cost and touch only
 //     per-instance state, so they stripe across Options.RecoverWorkers
 //     goroutines with no shared locks.
 //  3. A serial pass in sorted instance order takes each shard lock, resumes
@@ -32,20 +32,12 @@ import (
 // hydrate on first mutating touch, so boot time scales with the active
 // fraction of the store, not its total size.
 
-// scopeRec collects one scope's persisted records during recovery: the
-// legacy whole-scope record (if any) is the base, overlaid by the delta
-// records. The json* fields remember which delta records were found in the
-// legacy JSON encoding, so buildScopes can mark them for conversion — the
-// first post-recovery checkpoint rewrites them through the binary codec.
+// scopeRec collects one scope's persisted delta records during recovery.
 type scopeRec struct {
-	scopeID    string
-	legacy     *scopeDTO
-	create     *scopeCreateDTO
-	dyn        *scopeDynDTO
-	tasks      map[string]taskDTO
-	jsonCreate bool
-	jsonDyn    bool
-	jsonTasks  map[string]bool
+	scopeID string
+	create  *scopeCreateDTO
+	dyn     *scopeDynDTO
+	tasks   map[string]taskDTO
 }
 
 // splitInstKey splits "<inst>/<rest>" (instance IDs contain no '/').
@@ -72,7 +64,9 @@ type stubState struct {
 }
 
 // decodeInstanceRecords decodes one instance's raw records into the
-// per-scope overlay structure and the interned process texts.
+// per-scope overlay structure and the interned process texts. Records of
+// earlier engine generations — whole-scope scope/ records and JSON delta
+// records — fail with codec.ErrLegacy.
 func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]string, error) {
 	recMap := make(map[string]*scopeRec)
 	procs := make(map[string]string)
@@ -87,35 +81,27 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]str
 	for _, kv := range kvs {
 		switch {
 		case strings.HasPrefix(kv.Key, "scope/"):
-			var dto scopeDTO
-			if err := json.Unmarshal(kv.Value, &dto); err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt scope record %s: %w", kv.Key, err)
-			}
-			rec(dto.ID).legacy = &dto
+			return nil, nil, fmt.Errorf("core: whole-scope record %s: %w", kv.Key, codec.ErrLegacy)
 		case strings.HasPrefix(kv.Key, "scopec/"):
-			dto, wasJSON, err := decodeCreateRecord(kv.Value)
+			dto, err := decodeCreate(kv.Value)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt scope-create record %s: %w", kv.Key, err)
+				return nil, nil, fmt.Errorf("core: scope-create record %s: %w", kv.Key, err)
 			}
-			r := rec(dto.ID)
-			r.create = &dto
-			r.jsonCreate = wasJSON
+			rec(dto.ID).create = &dto
 		case strings.HasPrefix(kv.Key, "scoped/"):
 			_, sub, ok := splitInstKey(strings.TrimPrefix(kv.Key, "scoped/"))
 			if !ok {
 				continue
 			}
-			dto, wasJSON, err := decodeDynRecord(kv.Value)
+			dto, err := decodeDyn(kv.Value)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt scope-dynamic record %s: %w", kv.Key, err)
+				return nil, nil, fmt.Errorf("core: scope-dynamic record %s: %w", kv.Key, err)
 			}
 			scopeID := sub
 			if scopeID == "-" {
 				scopeID = ""
 			}
-			r := rec(scopeID)
-			r.dyn = &dto
-			r.jsonDyn = wasJSON
+			rec(scopeID).dyn = &dto
 		case strings.HasPrefix(kv.Key, "task/"):
 			_, sub, ok := splitInstKey(strings.TrimPrefix(kv.Key, "task/"))
 			if !ok {
@@ -131,21 +117,14 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]str
 			if scopeID == "-" {
 				scopeID = ""
 			}
-			dto, wasJSON, err := decodeTaskRecord(kv.Value)
+			dto, err := decodeTask(kv.Value)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt task record %s: %w", kv.Key, err)
+				return nil, nil, fmt.Errorf("core: task record %s: %w", kv.Key, err)
 			}
 			if dto.Name == "" {
 				dto.Name = task
 			}
-			r := rec(scopeID)
-			r.tasks[dto.Name] = dto
-			if wasJSON {
-				if r.jsonTasks == nil {
-					r.jsonTasks = make(map[string]bool, 2)
-				}
-				r.jsonTasks[dto.Name] = true
-			}
+			rec(scopeID).tasks[dto.Name] = dto
 		case strings.HasPrefix(kv.Key, "proc/"):
 			_, hash, ok := splitInstKey(strings.TrimPrefix(kv.Key, "proc/"))
 			if !ok {
@@ -158,16 +137,15 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]str
 }
 
 // Recover rebuilds all unfinished instances from the store after a server
-// restart or crash. Both record layouts are understood — a mixed store
-// (legacy whole-scope records alongside delta records) recovers cleanly,
-// and legacy scopes are converted to the delta layout by their first
-// post-recovery checkpoint. Activities recorded as running are treated as
-// lost and re-queued; in-flight navigation is re-derived.
+// restart or crash. Activities recorded as running are treated as lost and
+// re-queued; in-flight navigation is re-derived.
 //
 // A corrupt or inconsistent record set fails only its own instance: the
 // rest recover normally, each failure is reported through Options.OnError,
 // and the joined errors are returned alongside the count of instances that
-// did recover.
+// did recover. An instance stored in a format of an earlier engine
+// generation fails the same way, with codec.ErrLegacy: `bioopera migrate`
+// converts the store offline.
 //
 // A federated engine (Options.Owns set) adopts only instances in its own
 // partition; the rest stay in the store for their owners.
@@ -205,9 +183,9 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	for _, kv := range kvs {
 		if strings.HasPrefix(kv.Key, "inst/") {
 			id := strings.TrimPrefix(kv.Key, "inst/")
-			dto, _, err := decodeMetaRecord(kv.Value)
+			dto, err := decodeMeta(kv.Value)
 			if err != nil {
-				errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
+				errs = append(errs, fmt.Errorf("core: instance record %s: %w", kv.Key, err))
 				continue
 			}
 			if dto.ID != "" {
@@ -218,6 +196,8 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 			metas[id] = true
 			continue
 		}
+		// Whole-scope scope/ records are grouped too, so that their
+		// instance fails with codec.ErrLegacy rather than as rootless.
 		for _, prefix := range [...]string{"scope/", "scopec/", "scoped/", "task/", "proc/"} {
 			if strings.HasPrefix(kv.Key, prefix) {
 				if instID, _, ok := splitInstKey(strings.TrimPrefix(kv.Key, prefix)); ok {
@@ -310,9 +290,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		recovered++
 		e.emit(Event{Kind: EvServerRecovered, Instance: id,
 			Detail: fmt.Sprintf("status=%s", in.Status)})
-		// Checkpoint the rebuilt state: legacy scopes convert to the delta
-		// layout here (their whole-scope records are deleted in the same
-		// atomic batch that writes the replacement records).
+		// Checkpoint what resuming re-derived.
 		if len(in.dirty) > 0 || len(in.pendingDeletes) > 0 {
 			e.persist(in)
 		}
@@ -378,9 +356,9 @@ func buildInstanceShell(meta instanceDTO) *Instance {
 }
 
 // buildScopes reconstructs the instance's scope tree from its decoded
-// records. It mutates only the instance under construction (dirty marks
-// from legacy conversion included), so recovery workers may run it
-// concurrently for different instances.
+// records. It mutates only the instance under construction and marks
+// nothing dirty, so recovery workers may run it concurrently for different
+// instances.
 func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procTexts map[string]string, procCache map[string]*ocr.Process) error {
 	// Sort records so parents come before children (shorter IDs first;
 	// root "" is shortest) — children re-inherit whiteboard values from
@@ -408,36 +386,12 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 	}
 	for _, r := range scopeRecs {
 		where := in.ID + "/" + nzScope(r.scopeID)
-		// Shape: the delta create record wins; legacy is the fallback.
-		var (
-			text       string
-			parentID   string
-			isRoot     bool
-			parentTask string
-			elemIndex  int
-		)
-		switch {
-		case r.create != nil:
-			parentID, isRoot = r.create.Parent, r.create.IsRoot
-			parentTask, elemIndex = r.create.ParentTask, r.create.ElemIndex
-			switch {
-			case r.create.ProcRef != "":
-				var ok bool
-				text, ok = procTexts[r.create.ProcRef]
-				if !ok {
-					return fmt.Errorf("core: scope %s references missing process text %s", where, r.create.ProcRef)
-				}
-			case r.create.ProcText != "":
-				text = r.create.ProcText
-			default:
-				return fmt.Errorf("core: scope %s has no process text", where)
-			}
-		case r.legacy != nil:
-			parentID, isRoot = r.legacy.Parent, r.legacy.IsRoot
-			parentTask, elemIndex = r.legacy.ParentTask, r.legacy.ElemIndex
-			text = r.legacy.ProcText
-		default:
+		if r.create == nil {
 			return fmt.Errorf("core: scope %s has no create record", where)
+		}
+		text, ok := procTexts[r.create.ProcRef]
+		if !ok {
+			return fmt.Errorf("core: scope %s references missing process text %q", where, r.create.ProcRef)
 		}
 		proc, err := parse(text, where)
 		if err != nil {
@@ -446,16 +400,16 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 		sc := &scope{
 			ID:         r.scopeID,
 			Proc:       proc,
-			ParentTask: parentTask,
-			ElemIndex:  elemIndex,
+			ParentTask: r.create.ParentTask,
+			ElemIndex:  r.create.ElemIndex,
 			Whiteboard: make(map[string]ocr.Value),
 			Tasks:      make(map[string]*taskState),
 			children:   make(map[string]*scope),
 		}
-		if !isRoot {
-			parent := in.scopes[parentID]
+		if !r.create.IsRoot {
+			parent := in.scopes[r.create.Parent]
 			if parent == nil {
-				return fmt.Errorf("core: scope %s has missing parent %q", where, parentID)
+				return fmt.Errorf("core: scope %s has missing parent %q", where, r.create.Parent)
 			}
 			sc.Parent = parent
 			parent.children[sc.ID] = sc
@@ -463,10 +417,8 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 			in.root = sc
 		}
 		// Whiteboard: the dynamic record's owned entries overlay what the
-		// scope inherits from its parent; Full records (and legacy ones)
-		// are self-contained.
-		switch {
-		case r.dyn != nil:
+		// scope inherits from its parent; Full records are self-contained.
+		if r.dyn != nil {
 			sc.Done = r.dyn.Done
 			if r.dyn.Full {
 				sc.wbFull = true
@@ -493,15 +445,14 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 					sc.ownWB(k, true)
 				}
 			}
-		case r.legacy != nil:
-			sc.Done = r.legacy.Done
-			sc.wbFull = true
-			for k, v := range r.legacy.Whiteboard {
-				sc.Whiteboard[k] = v
-			}
 		}
-		// Tasks: legacy records are the base, delta task records overlay.
-		applyTask := func(td taskDTO) {
+		taskNames := make([]string, 0, len(r.tasks))
+		for name := range r.tasks {
+			taskNames = append(taskNames, name)
+		}
+		sort.Strings(taskNames)
+		for _, name := range taskNames {
+			td := r.tasks[name]
 			sc.Tasks[td.Name] = &taskState{
 				Name: td.Name, Status: td.Status, Attempts: td.Attempts,
 				Inputs: td.Inputs, Outputs: td.Outputs,
@@ -512,55 +463,13 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 				ConnIn: make([]connState, len(proc.Incoming(td.Name))),
 			}
 		}
-		if r.legacy != nil {
-			for _, td := range r.legacy.Tasks {
-				applyTask(td)
-			}
-		}
-		taskNames := make([]string, 0, len(r.tasks))
-		for name := range r.tasks {
-			taskNames = append(taskNames, name)
-		}
-		sort.Strings(taskNames)
-		for _, name := range taskNames {
-			applyTask(r.tasks[name])
-		}
 		// Tasks present in the process but missing from the records
-		// (older snapshot) start inactive.
+		// (never touched, so never checkpointed) start inactive.
 		for _, t := range proc.Tasks {
 			if _, ok := sc.Tasks[t.Name]; !ok {
 				sc.Tasks[t.Name] = &taskState{
 					Name:   t.Name,
 					ConnIn: make([]connState, len(proc.Incoming(t.Name))),
-				}
-			}
-		}
-		if r.legacy != nil && r.create == nil {
-			// Legacy-only scope: convert it. The first checkpoint writes
-			// the full delta-record set and deletes the whole-scope record
-			// in the same atomic batch.
-			sc.wbFull = true
-			e.touchNew(in, sc)
-			for _, t := range sc.Proc.Tasks {
-				if ts := sc.Tasks[t.Name]; ts.Status != TaskInactive || ts.Inputs != nil {
-					e.touchTask(in, sc, ts)
-				}
-			}
-			in.pendingDeletes = append(in.pendingDeletes, legacyScopeKey(in.ID, sc.ID))
-		} else {
-			// Delta records found in the legacy JSON encoding convert in
-			// place: mark exactly those records dirty so the first
-			// post-recovery checkpoint rewrites them through the binary
-			// codec. The interned process text is already in in.procRefs,
-			// so a re-marked create record never re-writes the text.
-			if r.jsonCreate {
-				e.touchNew(in, sc)
-			} else if r.jsonDyn {
-				e.touchMeta(in, sc)
-			}
-			for _, name := range sortedJSONTasks(r) {
-				if ts := sc.Tasks[name]; ts != nil {
-					e.touchTask(in, sc, ts)
 				}
 			}
 		}
@@ -616,7 +525,6 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	if st == nil {
 		return nil
 	}
-	preDeletes := len(in.pendingDeletes)
 	recMap, procTexts, err := decodeInstanceRecords(st.kvs)
 	if err == nil {
 		err = e.buildScopes(in, recMap, procTexts, make(map[string]*ocr.Process))
@@ -624,8 +532,6 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	if err != nil {
 		in.root = nil
 		in.scopes = make(map[string]*scope)
-		clear(in.dirty)
-		in.pendingDeletes = in.pendingDeletes[:preDeletes]
 		return fmt.Errorf("core: hydrating instance %s: %w", in.ID, err)
 	}
 	in.stub = nil

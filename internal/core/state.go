@@ -167,8 +167,8 @@ type scope struct {
 	// true = the record carries an explicit value, false = the key is
 	// masked from parent inheritance (the parent gained it after this
 	// scope spawned). Keys absent from wbOwn re-inherit the parent's
-	// value on recovery. wbFull scopes (root, subprocess bodies, legacy
-	// conversions) record the complete whiteboard instead.
+	// value on recovery. wbFull scopes (root, subprocess bodies, migrated
+	// whole-scope records) record the complete whiteboard instead.
 	wbOwn  map[string]bool
 	wbFull bool
 
@@ -257,7 +257,7 @@ type Instance struct {
 
 	// Checkpoint pipeline state, guarded by the shard lock. persist
 	// snapshots the dirty set into pendingCkpts; endTurn drains them to
-	// the flusher after releasing the shard, so JSON marshaling and the
+	// the flusher after releasing the shard, so record encoding and the
 	// store batch never run inside the critical section.
 	dirty          map[string]*scope // scopes with unpersisted changes
 	pendingCkpts   []*ckpt           // snapshots awaiting flush, in seq order

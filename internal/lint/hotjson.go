@@ -8,14 +8,15 @@ import (
 
 // hotJSONFuncs names the persist/WAL hot-path functions per package:
 // the code that runs on every activity completion (checkpoint encode and
-// commit) or every replicated frame. PR 10 moved these paths onto the
-// binary codec — reflection-based encoding/json marshaling must never
-// creep back in, or the 0-allocs/record budget and the ≥2× marshal
-// speedup silently rot. Log shipping's per-frame path is pinned too: the
-// shipper sends the WAL's own binary frames in a binary envelope. Cold
-// paths (recovery's dual-format fallback, snapshot files, CLI rendering)
-// may use encoding/json freely: the format boundary, not the import, is
-// the invariant.
+// commit) or every replicated frame, and the recovery path that reads
+// those records back. These paths speak only the binary codec —
+// reflection-based encoding/json must never creep back in, or the
+// 0-allocs/record budget and the ≥2× marshal speedup silently rot, and
+// recovery would again read a second record format. Log shipping's
+// per-frame path is pinned too: the shipper sends the WAL's own binary
+// frames in a binary envelope. Cold paths (the offline migrate, snapshot
+// files, CLI rendering) may use encoding/json freely: the format
+// boundary, not the import, is the invariant.
 var hotJSONFuncs = map[string]map[string]bool{
 	"bioopera/internal/core": {
 		"persist":       true, // per-activity checkpoint assembly
@@ -24,6 +25,13 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"encodeCkpt":    true, // record encode (the codec call site)
 		"flushCkpt":     true, // batch assembly + store commit
 		"remarkCkpt":    true, // failed-batch re-marking
+		// Recovery and lazy hydration read binary records only.
+		"RecoverOwned":          true,
+		"buildRecovered":        true,
+		"decodeInstanceRecords": true,
+		"buildScopes":           true,
+		"hydrateLocked":         true,
+		"DecodeInstanceMeta":    true,
 	},
 	"bioopera/internal/store": {
 		"encodeWALRecord": true, // WAL frame encode
@@ -34,6 +42,8 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"Batch":           true,
 		"AppendEvent":     true,
 		"applyShipped":    true, // standby replay of shipped frames
+		"decodeWALRecord": true, // WAL replay decode: binary frames only
+		"apply":           true, // replayed-record apply
 	},
 	"bioopera/internal/wal": {
 		"Append":      true,
@@ -64,8 +74,8 @@ func hotFuncsFor(path string) map[string]bool {
 // functions. The check is syntactic per function body: any selector
 // resolving to the encoding/json package (json.Marshal, json.NewEncoder,
 // an aliased import, ...) is a violation. Deliberate exceptions — none
-// exist today; recovery's JSON fallback lives in functions outside these
-// sets — carry //bioopera:allow hotjson with a reason.
+// exist today; the offline migrate's JSON reads live in functions outside
+// these sets — carry //bioopera:allow hotjson with a reason.
 func runHotJSON(p *Pass) {
 	funcs := hotFuncsFor(p.Pkg.Path())
 	if len(funcs) == 0 {

@@ -30,10 +30,17 @@ func persist(r record) error {
 	return json.NewEncoder(&buf).Encode(r) // want `json\.NewEncoder in persist hot-path function persist`
 }
 
-// decodeRecord is not a hot-path name: recovery's dual-format JSON
-// fallback is legal — the invariant bans json on the write path, not the
-// read-old-stores path.
-func decodeRecord(data []byte) (record, error) {
+// buildScopes is a hot-path name: recovery reads binary records only.
+func buildScopes(data []byte) (record, error) {
+	var r record
+	err := json.Unmarshal(data, &r) // want `json\.Unmarshal in persist hot-path function buildScopes`
+	return r, err
+}
+
+// migrateInstance is not a hot-path name: the offline migration reads the
+// JSON records of older stores — the invariant bans json on the engine's
+// write and recovery paths, not in the converter.
+func migrateInstance(data []byte) (record, error) {
 	var r record
 	err := json.Unmarshal(data, &r)
 	return r, err

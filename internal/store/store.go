@@ -293,14 +293,13 @@ func (m *Mem) Close() error {
 	return nil
 }
 
-// walRecord is the frame appended to the WAL for each mutation. New
-// records are written through the binary codec; the JSON tags remain so
-// WALs written by earlier engine generations replay forever.
+// walRecord is the frame appended to the WAL for each mutation. Op is the
+// record's codec kind.
 type walRecord struct {
-	Op    string `json:"op"` // "put", "del", "event"
-	Space Space  `json:"sp,omitempty"`
-	Key   string `json:"k,omitempty"`
-	Value []byte `json:"v,omitempty"`
+	Op    byte // walKindPut, walKindDel or walKindEvent
+	Space Space
+	Key   string
+	Value []byte
 }
 
 // Binary WAL record kinds — a range disjoint from the core persist-record
@@ -316,49 +315,25 @@ const (
 // total: unlike json.Marshal it cannot fail, which removes an error path
 // from every mutation.
 func encodeWALRecord(e *codec.Encoder, rec walRecord) {
-	var kind byte
-	switch rec.Op {
-	case "put":
-		kind = walKindPut
-	case "del":
-		kind = walKindDel
-	default:
-		kind = walKindEvent
-	}
-	e.Begin(kind)
+	e.Begin(rec.Op)
 	e.Uvarint(uint64(rec.Space))
 	e.String(rec.Key)
 	e.Bytes(rec.Value)
 	e.End()
 }
 
-// decodeWALRecord reads a WAL frame of either format: binary records carry
-// the codec magic, legacy JSON records start with '{'. The decoded Value
+// decodeWALRecord reads one binary WAL frame; a frame of an earlier,
+// JSON-writing engine fails with codec.ErrLegacy. The decoded Value
 // aliases data — apply copies before retaining.
 func decodeWALRecord(data []byte) (walRecord, error) {
-	if !codec.Sniff(data) {
-		var rec walRecord
-		err := json.Unmarshal(data, &rec)
-		return rec, err
-	}
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return walRecord{}, err
 	}
-	var rec walRecord
-	switch kind {
-	case walKindPut:
-		rec.Op = "put"
-	case walKindDel:
-		rec.Op = "del"
-	case walKindEvent:
-		rec.Op = "event"
-	default:
+	if kind < walKindPut || kind > walKindEvent {
 		return walRecord{}, fmt.Errorf("%w: kind %d is not a wal record", codec.ErrCorrupt, kind)
 	}
-	rec.Space = Space(d.Uvarint())
-	rec.Key = d.String()
-	rec.Value = d.Bytes()
+	rec := walRecord{Op: kind, Space: Space(d.Uvarint()), Key: d.String(), Value: d.Bytes()}
 	return rec, d.Finish()
 }
 
@@ -421,7 +396,7 @@ type Disk struct {
 }
 
 // commitReq is one caller's mutation set awaiting group commit. seq, when
-// non-nil, receives the journal sequence assigned to an "event" record.
+// non-nil, receives the journal sequence assigned to an event record.
 type commitReq struct {
 	recs    []walRecord
 	encoded [][]byte
@@ -450,8 +425,16 @@ type DiskOptions struct {
 }
 
 // OpenDisk opens or creates a disk store in dir, recovering state from the
-// latest snapshot plus the WAL tail.
+// latest snapshot plus the WAL tail. A WAL holding frames of an earlier,
+// JSON-writing engine is refused with codec.ErrLegacy: `bioopera migrate`
+// converts it.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
+	return openDisk(dir, opts, decodeWALRecord)
+}
+
+// openDisk is OpenDisk with the WAL frame decoder as a parameter, so the
+// offline migration replays through the same code.
+func openDisk(dir string, opts DiskOptions, decode func([]byte) (walRecord, error)) (*Disk, error) {
 	wopts := wal.Options{
 		NoSync:      opts.NoSync,
 		SegmentSize: opts.SegmentSize,
@@ -474,9 +457,9 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		return nil, err
 	}
 	err = l.Replay(from, func(r wal.Record) error {
-		rec, err := decodeWALRecord(r.Data)
+		rec, err := decode(r.Data)
 		if err != nil {
-			return fmt.Errorf("store: decoding wal record %d: %w", r.Seq, err)
+			return fmt.Errorf("store: %s: decoding wal record %d: %w", dir, r.Seq, err)
 		}
 		d.apply(rec)
 		return nil
@@ -569,15 +552,15 @@ func (d *Disk) loadSnapshot() (uint64, error) {
 
 func (d *Disk) apply(rec walRecord) {
 	switch rec.Op {
-	case "put":
+	case walKindPut:
 		if rec.Space < numSpaces {
 			d.st.put(rec.Space, rec.Key, rec.Value)
 		}
-	case "del":
+	case walKindDel:
 		if rec.Space < numSpaces {
 			d.st.del(rec.Space, rec.Key)
 		}
-	case "event":
+	case walKindEvent:
 		d.st.appendEvent(rec.Value)
 	}
 }
@@ -638,7 +621,7 @@ func (d *Disk) flushGroup(g *commitGroup) error {
 	for _, req := range g.reqs {
 		for _, rec := range req.recs {
 			d.apply(rec)
-			if rec.Op == "event" && req.seq != nil {
+			if rec.Op == walKindEvent && req.seq != nil {
 				*req.seq = d.st.eventSeq
 			}
 		}
@@ -651,7 +634,7 @@ func (d *Disk) Put(space Space, key string, value []byte) error {
 	if err := checkSpace(space); err != nil {
 		return err
 	}
-	return d.append(walRecord{Op: "put", Space: space, Key: key, Value: value})
+	return d.append(walRecord{Op: walKindPut, Space: space, Key: key, Value: value})
 }
 
 // Batch implements Store: every op becomes one WAL record and the whole
@@ -670,9 +653,9 @@ func (d *Disk) Batch(ops []Op) error {
 	encoded := make([][]byte, len(ops))
 	enc := codec.Get()
 	for i, op := range ops {
-		rec := walRecord{Op: "put", Space: op.Space, Key: op.Key, Value: op.Value}
+		rec := walRecord{Op: walKindPut, Space: op.Space, Key: op.Key, Value: op.Value}
 		if op.Delete {
-			rec.Op = "del"
+			rec.Op = walKindDel
 			rec.Value = nil
 		}
 		recs[i] = rec
@@ -707,7 +690,7 @@ func (d *Disk) Delete(space Space, key string) error {
 	if err := checkSpace(space); err != nil {
 		return err
 	}
-	return d.append(walRecord{Op: "del", Space: space, Key: key})
+	return d.append(walRecord{Op: walKindDel, Space: space, Key: key})
 }
 
 // List implements Store.
@@ -725,7 +708,7 @@ func (d *Disk) List(space Space) ([]KV, error) {
 
 // AppendEvent implements Store.
 func (d *Disk) AppendEvent(data []byte) (uint64, error) {
-	rec := walRecord{Op: "event", Value: data}
+	rec := walRecord{Op: walKindEvent, Value: data}
 	enc := codec.Get()
 	encodeWALRecord(enc, rec)
 	var seq uint64
